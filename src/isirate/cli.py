@@ -131,11 +131,10 @@ def cmd_analyze(args) -> int:
 def cmd_dfe(args) -> int:
     ch = parse_channel(args.channel, args.normalize)
     x = parse_input(args.input)
-    design = design_mmse_dfe(ch, x, 10 ** (args.snr_db / 10.0), args.ff_half_len)
+    design = design_mmse_dfe(ch, x, 10 ** (args.snr_db / 10.0))
     summ = summarize(design, x)
     out = {
         "rho": design.rho,
-        "ff_half_len": design.ff_half_len,
         "n_residual": int(design.residual.size),
         "noise_var": design.noise_var,
         "snr_unbiased": design.snr_unbiased,
@@ -445,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("dfe", help="design the unbiased MMSE-DFE")
     add_common(sp)
     sp.add_argument("--snr-db", type=float, required=True)
-    sp.add_argument("--ff-half-len", type=int, default=None)
     sp.add_argument("--taps", default=None, help="write residual taps CSV here")
     sp.set_defaults(func=cmd_dfe)
 

@@ -1,17 +1,22 @@
 """Unbiased MMSE-DFE design and its residual-ISI summaries.
 
-The feedforward filter a_{-M}..a_{M} weights the observations y_{-k}
-around the decision instant; past symbols are assumed perfectly fed back,
-so their contribution is removed before the error is measured. With the
-lag-0 coefficient pinned to 1, the design minimizes the residual power
+The infinite-length MMSE-DFE comes from the spectral factorisation
 
-    E (sum_{k>=1} alpha_k x_k + m)^2,
-    alpha_k = sum_l a_l h_{-l-k},   E m^2 = N_0 sum_l a_l^2,
+    1/rho + |H|^2 = gamma_0 |G|^2,   G(z) = 1 + g_1 z^-1 + ... + g_{L-1} z^-(L-1)
 
-a strictly convex quadratic solved through its normal equations. The
-half-length M doubles until the solution is stable at tap level and the
-unbiased output SNR agrees with the infinite-length value
-exp<log(1 + rho |H|^2)> - 1.
+with G monic and minimum phase (Cioffi, Dudevoir, Eyuboglu and Forney,
+"MMSE decision-feedback equalizers and coding", IEEE Trans. Commun. 1995).
+Its roots are the L-1 roots inside the unit circle of the palindromic
+polynomial with coefficients r_{L-1}..r_0 + 1/rho..r_{L-1}, r the channel
+autocorrelation. The biased output SNR is snr_dfe = rho gamma_0. With past
+symbols fed back perfectly, the error of the biased output is
+(1/snr_dfe) sum_{k>=0} c_k x_{t+k} plus filtered noise, c the impulse
+response of 1/G. Rescaling to unit gain on x_t gives the unbiased output
+
+    z = x_0 + sum_{k>=1} alpha_k x_k + m,   alpha_k = -c_k/(snr_dfe - 1),
+    E m^2 = P_x (snr_dfe - 1 - sum_{k>=1} c_k^2)/(snr_dfe - 1)^2,
+
+whose SNR P_x/(sum alpha_k^2 P_x + E m^2) is snr_dfe - 1.
 """
 
 from __future__ import annotations
@@ -19,40 +24,42 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .channel import ChannelResponse, spectral_summary
-from .errors import DomainError, NotConverged, SingularSystem
+from .errors import BudgetExceeded, DomainError, RootFindingFailure
 from .scalar import InputDistribution
 
 # Relative-amplitude cut; implies a tail energy far below 1e-10 of the total.
 _TRUNCATION_REL_AMPLITUDE = 1e-10
-_SNR_GAP_TOL = 1e-6
-_TAP_STABLE_TOL = 1e-8
-_M_MAX = 4096
+# Largest tap of 1/G dropped beyond the computed impulse response.
+_INVERSE_TAIL = 1e-20
+# Longest impulse response of 1/G computed; reached near 100 dB on a null.
+_MAX_INVERSE_LEN = 2**22
+# Largest mismatch between gamma_0 |G|^2 and 1/rho + |H|^2, relative to r_0.
+_FACTOR_REL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class DfeDesign:
     """Designed unbiased MMSE-DFE for one channel, input power and SNR.
 
-    feedforward : taps a_{-M}..a_{M}; a[j] weights y_{t-(j-M)} at decision
-        time t (negative lags read future observations).
     residual    : truncated residual-ISI taps alpha_1..alpha_N; alpha_0 = 1
         by construction and is not stored.
-    residual_full : all M residual taps of the solution, untruncated.
+    residual_full : every computed residual tap, untruncated; beyond it
+        the impulse response of 1/G has decayed below about 1e-20.
     noise_var   : E m^2 of the Gaussian noise at the unbiased output.
-    scale       : lag-0 gain of the unnormalized solution.
     """
 
-    feedforward: np.ndarray
     residual: np.ndarray
     residual_full: np.ndarray
     noise_var: float
-    scale: float
     rho: float
     x_power: float
-    ff_half_len: int
+
+    @property
+    def ff_half_len(self) -> int:
+        """Number of computed residual taps, residual_full.size (read-only)."""
+        return int(self.residual_full.size)
 
     @property
     def snr_unbiased(self) -> float:
@@ -75,38 +82,6 @@ class DfeSummary:
     S: float  # P_x / E m^2
 
 
-def _solve_ff(taps: np.ndarray, px: float, n0: float, m: int):
-    """Solve the pinned-gain quadratic program at half-length m.
-
-    Returns (a, alpha_full, em2, c) with alpha_full of length m.
-    """
-    L = taps.size
-    n_ff = 2 * m + 1
-    # U[k-1, j] = h_{-(j-m)-k} = h[m-j-k], rows k = 1..m
-    j = np.arange(n_ff)
-    k = np.arange(1, m + 1)
-    idx = m - j[None, :] - k[:, None]
-    valid = (idx >= 0) & (idx < L)
-    U = np.zeros((m, n_ff))
-    U[valid] = taps[idx[valid]]
-    B = px * (U.T @ U)
-    B[np.diag_indices_from(B)] += n0
-    v = np.zeros(n_ff)
-    vi = m - np.arange(L)
-    v[vi] = taps
-    try:
-        a_raw = scipy.linalg.solve(B, v, assume_a="pos")
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
-    c = float(v @ a_raw)
-    if not np.isfinite(c) or c <= 0.0:
-        raise SingularSystem("pinned-gain system produced a nonpositive gain")
-    a = a_raw / c
-    alpha = U @ a
-    em2 = n0 * float(a @ a)
-    return a, alpha, em2, c
-
-
 def _truncate(alpha: np.ndarray) -> np.ndarray:
     """Shortest prefix alpha_1..alpha_N whose dropped tail is negligible.
 
@@ -121,51 +96,64 @@ def _truncate(alpha: np.ndarray) -> np.ndarray:
     return alpha[: keep[-1] + 1] if keep.size else alpha[:0]
 
 
-def design_mmse_dfe(
-    channel: ChannelResponse,
-    x: InputDistribution,
-    rho: float,
-    ff_half_len: int | None = None,
-) -> DfeDesign:
-    """Design the unbiased MMSE-DFE at input SNR rho = P_x/N_0.
+def _min_phase_factor(r: np.ndarray) -> tuple[np.ndarray, float]:
+    """Monic minimum-phase g and the largest root modulus of G.
 
-    With ff_half_len=None the half-length starts at max(8L, 64) and doubles
-    until the residual summaries are stable and the unbiased SNR is within
-    1e-6 relative of the infinite-length value; an explicit ff_half_len is
-    used as given with no convergence enforcement.
+    r holds the autocorrelation r_0..r_{L-1} with 1/rho already added to
+    r_0; raises RootFindingFailure unless gamma_0 (g * reversed g)
+    reproduces r within 1e-10 r_0.
+    """
+    L = r.size
+    coeffs = np.concatenate((r[:0:-1], r))
+    try:
+        roots = np.roots(coeffs)
+    except np.linalg.LinAlgError as exc:
+        raise RootFindingFailure(str(exc)) from exc
+    inside = roots[np.abs(roots) < 1.0]
+    if roots.size != 2 * (L - 1) or inside.size != L - 1:
+        raise RootFindingFailure(
+            f"{inside.size} of {roots.size} roots inside the unit circle, need {L - 1}"
+        )
+    g = np.real(np.poly(inside))
+    gamma0 = r[0] / float(g @ g)
+    mismatch = float(np.max(np.abs(gamma0 * np.convolve(g, g[::-1]) - coeffs)))
+    if not mismatch <= _FACTOR_REL_TOL * r[0]:
+        raise RootFindingFailure(f"spectral factor off by {mismatch / r[0]:.3e} relative")
+    return g, float(np.max(np.abs(inside)))
+
+
+def design_mmse_dfe(
+    channel: ChannelResponse, x: InputDistribution, rho: float
+) -> DfeDesign:
+    """Design the infinite-length unbiased MMSE-DFE at input SNR rho = P_x/N_0.
+
+    Raises RootFindingFailure when the spectral factor fails its check and
+    BudgetExceeded when 1/G would need more than 2^22 taps.
     """
     if rho <= 0.0:
         raise DomainError("rho must be positive")
     taps = np.asarray(channel.taps, dtype=float)
+    nz = np.nonzero(taps)[0]
+    taps = taps[nz[0] : nz[-1] + 1]  # zero taps at either end leave |H| unchanged
     px = x.power
-    n0 = px / rho
-    if ff_half_len is not None:
-        if ff_half_len < channel.length:
-            raise DomainError("ff_half_len must be at least the channel length")
-        a, alpha, em2, c = _solve_ff(taps, px, n0, ff_half_len)
-        return DfeDesign(a, _truncate(alpha), alpha, em2, c, rho, px, ff_half_len)
-
-    target = spectral_summary(channel, rho).snr_dfe - 1.0
-    m = max(8 * channel.length, 64)
-    prev = None
-    while m <= _M_MAX:
-        a, alpha, em2, c = _solve_ff(taps, px, n0, m)
-        beta1_sq = float(alpha @ alpha)
-        snr_u = px / (beta1_sq * px + em2)
-        gap = abs(snr_u / target - 1.0)
-        if prev is not None:
-            stable = max(
-                abs(beta1_sq - prev[0]) / max(prev[0], 1e-30),
-                abs(em2 - prev[1]) / prev[1],
-                abs(snr_u - prev[2]) / prev[2],
-            )
-            if stable <= _TAP_STABLE_TOL and gap <= _SNR_GAP_TOL:
-                return DfeDesign(a, _truncate(alpha), alpha, em2, c, rho, px, m)
-        prev = (beta1_sq, em2, snr_u)
-        m *= 2
-    raise NotConverged(
-        f"feedforward length capped at {_M_MAX} with SNR gap {gap:.3e}"
-    )
+    L = taps.size
+    if L == 1:
+        empty = np.zeros(0)
+        return DfeDesign(empty, empty, px / (rho * taps[0] ** 2), rho, px)
+    r = np.correlate(taps, taps, mode="full")[L - 1 :]
+    energy = float(r[0])
+    r[0] += 1.0 / rho
+    g, r_max = _min_phase_factor(r)
+    # snr_dfe = rho gamma_0 = (1 + rho r_0)/sum g_i^2, free of cancellation
+    snr_m1 = float(np.expm1(np.log1p(rho * energy) - np.log1p(g[1:] @ g[1:])))
+    n = max(2 * L, int(np.ceil(np.log(_INVERSE_TAIL) / np.log(r_max))))
+    n = 1 << (n - 1).bit_length()
+    if n > _MAX_INVERSE_LEN:
+        raise BudgetExceeded(f"1/G needs {n} taps at rho = {rho:.3g}, above {_MAX_INVERSE_LEN}")
+    c = np.fft.irfft(1.0 / np.fft.rfft(g, n), n)
+    alpha = -c[1:] / snr_m1
+    noise_var = px * (snr_m1 - float(c[1:] @ c[1:])) / snr_m1**2
+    return DfeDesign(_truncate(alpha), alpha, noise_var, rho, px)
 
 
 def summarize(design: DfeDesign, x: InputDistribution) -> DfeSummary:
@@ -190,24 +178,24 @@ def closed_form_summary(channel: ChannelResponse, rho: float) -> DfeSummary:
     No closed form exists for the third/fourth-power tap sums, so
     gamma1_cu and delta1_4 are left unset. Below snr_le - 1 = 1e-9 the
     quadrature cannot resolve snr_dfe - snr_le and the flat-channel
-    limits (beta1_sq = 0, S = snr_dfe - 1) are returned.
+    limits (beta1_sq = 0, S = snr_dfe - 1) are returned. eps0 and eps1
+    follow from the same identities as in summarize.
     """
     ss = spectral_summary(channel, rho)
     d, e = ss.snr_dfe, ss.snr_le
     if e - 1.0 <= 1e-9:
-        s = d - 1.0
-        return DfeSummary(1.0, 0.0, None, None, eps0=s, eps1=0.0, S=s)
-    beta1_sq = (d / e - 1.0) / (d - 1.0) ** 2
-    s = (d - 1.0) ** 2 * e / (d * (e - 1.0))
-    eps0 = e * (d - 1.0) / (e - 1.0) - 1.0
-    eps1 = (1.0 - e / d) / (e - 1.0)
+        beta1_sq, s = 0.0, d - 1.0
+    else:
+        # d/e - 1 cancels to a few ulps on a flat spectrum; beta1_sq >= 0
+        beta1_sq = max(0.0, (d / e - 1.0) / (d - 1.0) ** 2)
+        s = (d - 1.0) ** 2 * e / (d * (e - 1.0))
     return DfeSummary(
         beta0_sq=1.0 + beta1_sq,
         beta1_sq=beta1_sq,
         gamma1_cu=None,
         delta1_4=None,
-        eps0=eps0,
-        eps1=eps1,
+        eps0=(1.0 + beta1_sq) * s,
+        eps1=beta1_sq * s,
         S=s,
     )
 

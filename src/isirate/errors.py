@@ -14,19 +14,12 @@ class NonConvergent(IsirateError):
 
 
 class RootFindingFailure(IsirateError):
-    """Polynomial root extraction did not converge."""
-
-
-class SingularSystem(IsirateError):
-    """The equalizer normal equations are numerically indefinite."""
-
-
-class NotConverged(IsirateError):
-    """The finite-length equalizer did not reach the infinite-length SNR."""
+    """Polynomial root extraction or spectral factorisation failed."""
 
 
 class BudgetExceeded(IsirateError):
-    """An exact mixture enumeration would exceed the component budget."""
+    """An exact mixture enumeration or a DFE impulse response would exceed
+    its size budget."""
 
 
 class MissingMoments(IsirateError, ValueError):

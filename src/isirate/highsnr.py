@@ -17,11 +17,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfcx
+from scipy.special import erfcx, spence
 
 from .channel import (
     ChannelResponse,
     _mean_over_theta,
+    _roots,
+    log_mean_spectrum,
     spectral_summary,
     to_minimum_phase,
     transfer_power,
@@ -228,6 +230,23 @@ def _min_distance_pair_prob(x: InputDistribution) -> float:
     return best
 
 
+def log_sq_mean_spectrum(channel: ChannelResponse) -> float:
+    """<log^2 |H(theta)|^2>, exact from the channel roots.
+
+    With the roots reflected into the closed unit disk (u_i), log|H|^2 is
+    A - sum_n 2 Re(sum_i u_i^n e^{-jn theta})/n with A = <log|H|^2>, so
+    its second moment is A^2 + 2 Re sum_{i,k} Li2(u_i conj(u_k)); roots on
+    the unit circle keep every dilogarithm finite.
+    """
+    _, roots = _roots(channel)
+    u = roots.copy()
+    outside = np.abs(u) > 1.0
+    u[outside] = 1.0 / np.conj(u[outside])
+    w = (u[:, None] * np.conj(u)[None, :]).ravel()
+    a = log_mean_spectrum(channel)
+    return float(a * a + 2.0 * np.real(spence(1.0 - w).sum()))
+
+
 def snr_dfe_upper_bound(channel: ChannelResponse, rho: float) -> float:
     """Upper bound on the biased MMSE-DFE output SNR at high input SNR.
 
@@ -244,14 +263,8 @@ def snr_dfe_upper_bound(channel: ChannelResponse, rho: float) -> float:
     g = ss.g_zf_dfe
     if ss.g_zf_le > 0.0:
         return rho * g + g / ss.g_zf_le
-    # null-bearing spectrum: Cauchy-Schwarz on the low-|H| set. The log^2
-    # mean has an integrable singularity, so it converges slowly; evaluate
-    # at a looser tolerance and inflate, keeping the bound an upper bound.
-    c1_sq = _mean_over_theta(
-        lambda th: np.log(np.maximum(transfer_power(channel, th), 1e-280)) ** 2,
-        rel_tol=1e-4,
-    )
-    c1 = math.sqrt(c1_sq) * (1.0 + 1e-2)
+    # null-bearing spectrum: Cauchy-Schwarz on the low-|H| set
+    c1 = math.sqrt(log_sq_mean_spectrum(channel))
     threshold = math.sqrt(1.0 / rho)
     omega_frac = _mean_over_theta(
         lambda th: (transfer_power(channel, th) < threshold).astype(float),

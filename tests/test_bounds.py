@@ -366,6 +366,16 @@ class TestBoundReport:
         assert rep.gap_series is not None
         assert rep.i_mmse - rep.i_sl == pytest.approx(rep.gap_series, rel=0.2)
 
+    @pytest.mark.parametrize("db", [-40.0, 30.0, 45.0])
+    def test_flat_channel(self, db):
+        # snr_dfe/snr_le - 1 cancels to a tiny negative value on a flat channel
+        x = bpsk()
+        rho = 10 ** (db / 10)
+        rep = bound_report(ChannelResponse((1.0,)), x, rho, i_mmse_method="none")
+        ref = mutual_info(x, rho)
+        for val in (rep.i_sl, rep.ie_simple, rep.ie_opt, rep.ie_conj):
+            assert val == pytest.approx(ref, rel=1e-9)
+
 
 class TestAsymmetricDensityRegression:
     def test_mc_matches_exact_skewed_input(self):

@@ -73,6 +73,19 @@ class TestSubcommands:
         assert lines[0] == "k,alpha"
         assert len(lines) == out["n_residual"] + 1
 
+    def test_dfe_high_snr(self, capsys):
+        code = main(["dfe", "--channel", "jeong", "--input", "bpsk", "--snr-db", "45"])
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        assert "ff_half_len" not in out
+        ss = spectral_summary(parse_channel("jeong"), 10**4.5)
+        assert out["snr_unbiased"] == pytest.approx(math.expm1(ss.gaussian_rate), rel=1e-9)
+
+    def test_dfe_has_no_length_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["dfe", "--channel", "jeong", "--input", "bpsk", "--snr-db", "0", "--ff-half-len", "32"])
+        assert exc.value.code == 2
+
     def test_bounds_csv_and_units(self, tmp_path):
         out = tmp_path / "bounds.csv"
         code = main(

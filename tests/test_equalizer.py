@@ -1,25 +1,73 @@
-"""MMSE-DFE design against the closed-form identities."""
+"""MMSE-DFE design against the closed-form identities and a dense oracle."""
 
 import math
+import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from isirate.channel import ChannelResponse, channel_b, spectral_summary
+from isirate.channel import (
+    CHANNEL_PRESETS,
+    ChannelResponse,
+    channel_b,
+    jeong,
+    jeong_spaced,
+    spectral_summary,
+)
 from isirate.equalizer import (
+    _truncate,
     closed_form_summary,
     design_mmse_dfe,
     summarize,
     two_tap_residual,
 )
-from isirate.errors import DomainError
+from isirate.errors import BudgetExceeded, DomainError, RootFindingFailure
 from isirate.scalar import bpsk
 
 from conftest import random_unit_channel
 
+NULL = ChannelResponse((math.sqrt(0.5), math.sqrt(0.5)))
+
 
 def two_tap_channel(q: float) -> ChannelResponse:
     return ChannelResponse((math.sqrt(1.0 - q * q), q))
+
+
+def _solve_ff(taps: np.ndarray, px: float, n0: float, m: int):
+    """Finite-length pinned-gain DFE at feedforward half-length m.
+
+    The feedforward taps a_{-m}..a_{m} minimize E (sum_{k>=1} alpha_k x_k
+    + m)^2 with alpha_k = sum_l a_l h_{-l-k} and the lag-0 gain pinned to
+    1, a strictly convex quadratic solved densely through its normal
+    equations. Returns (alpha_1..alpha_m, E m^2).
+    """
+    L = taps.size
+    n_ff = 2 * m + 1
+    # U[k-1, j] = h_{-(j-m)-k} = h[m-j-k], rows k = 1..m
+    j = np.arange(n_ff)
+    k = np.arange(1, m + 1)
+    idx = m - j[None, :] - k[:, None]
+    valid = (idx >= 0) & (idx < L)
+    U = np.zeros((m, n_ff))
+    U[valid] = taps[idx[valid]]
+    B = px * (U.T @ U)
+    B[np.diag_indices_from(B)] += n0
+    v = np.zeros(n_ff)
+    v[m - np.arange(L)] = taps
+    a_raw = scipy.linalg.solve(B, v, assume_a="pos")
+    a = a_raw / float(v @ a_raw)
+    return U @ a, n0 * float(a @ a)
+
+
+def _oracle_channels() -> dict[str, ChannelResponse]:
+    rng = np.random.default_rng(20240917)
+    named = {"channel_b": channel_b(), "jeong": jeong(), "jeong_spaced": jeong_spaced(), "null": NULL}
+    named.update((f"random{i}", random_unit_channel(rng)) for i in range(8))
+    return named
+
+
+ORACLE_CHANNELS = _oracle_channels()
 
 
 class TestTrivialChannel:
@@ -45,7 +93,7 @@ class TestTwoTapClosedForm:
         got = np.zeros(10)
         n = min(10, d.residual_full.size)
         got[:n] = d.residual_full[:n]
-        assert np.max(np.abs(got - ref)) <= 1e-6
+        assert np.max(np.abs(got - ref)) <= 1e-12
 
     def test_sign_alternation(self):
         d = design_mmse_dfe(two_tap_channel(0.6), bpsk(), 1.0)
@@ -139,13 +187,79 @@ class TestDesignValidation:
         with pytest.raises(DomainError):
             design_mmse_dfe(channel_b(), bpsk(), 0.0)
 
-    def test_explicit_half_length(self):
-        d = design_mmse_dfe(channel_b(), bpsk(), 1.0, ff_half_len=32)
-        assert d.ff_half_len == 32
-        assert d.feedforward.size == 65
-        with pytest.raises(DomainError):
-            design_mmse_dfe(channel_b(), bpsk(), 1.0, ff_half_len=2)
-
     def test_two_tap_closed_form_validation(self):
         with pytest.raises(DomainError):
             two_tap_residual(1.5, 1.0, 5)
+
+
+class TestDenseOracle:
+    @pytest.mark.parametrize("ch", ORACLE_CHANNELS.values(), ids=ORACLE_CHANNELS.keys())
+    def test_matches_dense_solve(self, ch):
+        # the oracle window is twice the truncated length under test, so a
+        # design cut too early or too late would differ in length
+        for db in (-26.0, 0.0, 10.0):
+            rho = 10 ** (db / 10)
+            d = design_mmse_dfe(ch, bpsk(), rho)
+            m = 2 * d.residual.size + 64
+            alpha, em2 = _solve_ff(np.asarray(ch.taps), 1.0, 1.0 / rho, m)
+            got = np.zeros(20)
+            got[: min(20, d.residual_full.size)] = d.residual_full[:20]
+            assert np.max(np.abs(got - alpha[:20])) <= 1e-9, db
+            assert d.noise_var == pytest.approx(em2, rel=1e-9), db
+            assert d.residual.size == _truncate(alpha).size, db
+
+
+class TestHighSnr:
+    @pytest.mark.parametrize("ch", [jeong(), jeong_spaced(), NULL], ids=["jeong", "jeong_spaced", "null"])
+    def test_45_db(self, ch):
+        rho = 10**4.5
+        start = time.perf_counter()
+        d = design_mmse_dfe(ch, bpsk(), rho)
+        assert time.perf_counter() - start < 0.1
+        target = math.expm1(spectral_summary(ch, rho).gaussian_rate)
+        assert abs(d.snr_unbiased - target) <= 1e-9 * target
+
+    def test_null_channel_two_tap(self):
+        rho = 10**4.5
+        d = design_mmse_dfe(NULL, bpsk(), rho)
+        ref = two_tap_residual(math.sqrt(0.5), rho, 10)
+        assert np.max(np.abs(d.residual_full[:10] - ref)) <= 1e-12
+
+    def test_impulse_response_budget(self):
+        # the 1/G tail decays ever slower as the spectral null deepens
+        with pytest.raises(BudgetExceeded):
+            design_mmse_dfe(NULL, bpsk(), 1e11)
+
+
+class TestFactorGuard:
+    def test_perturbed_roots(self, monkeypatch):
+        roots = np.roots
+        monkeypatch.setattr(np, "roots", lambda p: roots(p) * (1.0 + 1e-6))
+        with pytest.raises(RootFindingFailure, match="spectral factor"):
+            design_mmse_dfe(jeong(), bpsk(), 1.0)
+
+    def test_roots_outside(self, monkeypatch):
+        roots = np.roots
+        monkeypatch.setattr(np, "roots", lambda p: np.abs(roots(p)) + 1.0)
+        with pytest.raises(RootFindingFailure, match="inside the unit circle"):
+            design_mmse_dfe(jeong(), bpsk(), 1.0)
+
+
+class TestClosedFormFlatChannel:
+    def test_beta1_sq_nonnegative(self, rng):
+        channels = [f() for f in CHANNEL_PRESETS.values()]
+        channels += [ChannelResponse((1.0,)), NULL]
+        channels += [random_unit_channel(rng) for _ in range(8)]
+        for ch in channels:
+            for db in np.arange(-40.0, 46.0, 5.0):
+                cf = closed_form_summary(ch, 10 ** (db / 10))
+                assert cf.beta1_sq >= 0.0, (ch.taps, db)
+                assert cf.eps0 == (1.0 + cf.beta1_sq) * cf.S
+                assert cf.eps1 == cf.beta1_sq * cf.S
+
+    @pytest.mark.parametrize("db", [-40.0, 30.0, 45.0])
+    def test_flat_summary(self, db):
+        rho = 10 ** (db / 10)
+        cf = closed_form_summary(ChannelResponse((1.0,)), rho)
+        assert cf.beta1_sq == 0.0
+        assert cf.S == pytest.approx(rho, rel=1e-9)

@@ -6,7 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from isirate.channel import ChannelResponse, channel_b, jeong, to_minimum_phase
+from isirate.channel import (
+    ChannelResponse,
+    _mean_over_theta,
+    channel_b,
+    jeong,
+    jeong_spaced,
+    to_minimum_phase,
+    transfer_power,
+)
 from isirate.errors import DomainError, SnrTooLow
 from isirate.highsnr import (
     crossover_probe,
@@ -16,6 +24,7 @@ from isirate.highsnr import (
     exponent_gap,
     fano_forney_upper,
     log_fano_forney_upper,
+    log_sq_mean_spectrum,
     log_sl_gap_lower,
     sl_gap_lower,
     snr_dfe_upper_bound,
@@ -164,6 +173,23 @@ class TestSlGapLower:
         logs = [log_sl_gap_lower(two_tap_channel(0.5), bpsk(), r) for r in rhos]
         slope = np.polyfit(rhos, logs, 1)[0]
         assert slope == pytest.approx(-gap.g_zf_dfe / 2.0, rel=0.1)
+
+
+class TestLogSqMeanSpectrum:
+    def test_null_channel(self):
+        # <log^2(1 + cos theta)> = pi^2/3 + log^2 2
+        ch = ChannelResponse((math.sqrt(0.5), math.sqrt(0.5)))
+        want = math.pi**2 / 3.0 + math.log(2.0) ** 2
+        assert log_sq_mean_spectrum(ch) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("ch", [channel_b(), jeong_spaced()], ids=["channel_b", "jeong_spaced"])
+    def test_matches_quadrature(self, ch):
+        # no root on the unit circle, so the midpoint rule converges
+        quad = _mean_over_theta(lambda th: np.log(transfer_power(ch, th)) ** 2, rel_tol=1e-13)
+        assert log_sq_mean_spectrum(ch) == pytest.approx(quad, rel=1e-9)
+
+    def test_flat(self):
+        assert log_sq_mean_spectrum(ChannelResponse((2.0,))) == pytest.approx(math.log(4.0) ** 2, rel=1e-15)
 
 
 def _q_int_at(s):
