@@ -140,7 +140,8 @@ def mutual_info(x: InputDistribution, gamma: float) -> float:
         return 0.0
     means = math.sqrt(gamma) * x.normalized_atoms
     h, _ = mixture_entropy(means, np.asarray(x.probs), 1.0)
-    return max(h - _HALF_LOG_2PIE, 0.0)
+    # quadrature rounding can leave h - log(2 pi e)/2 just outside [0, H(x)]
+    return min(max(h - _HALF_LOG_2PIE, 0.0), x.entropy)
 
 
 def mmse(x: InputDistribution, gamma: float) -> float:

@@ -375,6 +375,7 @@ class TestBoundReport:
         ref = mutual_info(x, rho)
         for val in (rep.i_sl, rep.ie_simple, rep.ie_opt, rep.ie_conj):
             assert val == pytest.approx(ref, rel=1e-9)
+            assert val <= x.entropy
 
 
 class TestAsymmetricDensityRegression:

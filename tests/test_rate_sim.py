@@ -2,14 +2,17 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from isirate.channel import ChannelResponse, channel_b, spectral_summary
+from isirate.channel import ChannelResponse, channel_b, jeong, spectral_summary
 from isirate.errors import DomainError, StateBudgetExceeded
+from isirate.montecarlo import stream_rng
 from isirate.rate_sim import (
     _forward_log_likelihood_scan,
+    _forward_log_likelihood_sparse,
     build_trellis,
     estimate_rate,
     forward_log_likelihood,
@@ -63,7 +66,11 @@ class TestForwardRecursion:
 
     def test_scan_matches_sequential(self):
         rng = np.random.default_rng(11)
-        for ch, x in ((channel_b(), bpsk()), (ChannelResponse((1.0,)), bpsk())):
+        for ch, x in (
+            (channel_b(), bpsk()),
+            (channel_b(), make_trinary(0.01)),
+            (ChannelResponse((1.0,)), bpsk()),
+        ):
             trellis = build_trellis(ch, x)
             y = rng.standard_normal(300)
             seq = forward_log_likelihood(y, trellis, 0.8)
@@ -74,6 +81,81 @@ class TestForwardRecursion:
         ch = ChannelResponse(tuple([0.1] * 22))
         with pytest.raises(StateBudgetExceeded):
             build_trellis(ch, bpsk())
+
+
+# (channel, input) pairs with 4, 9, 27 and 64 states
+SPARSE_CASES = (
+    (channel_b(), bpsk()),
+    (channel_b(), make_trinary(0.01)),
+    (ChannelResponse((0.5, 0.6, -0.4, 0.3)), make_trinary(0.2)),
+    (jeong(), bpsk()),
+)
+
+
+def oracle_rates(channel, x, rho, n_symbols, n_seeds, seed):
+    """Per-seed rates from the reference recursion on the estimator's streams."""
+    trellis = build_trellis(channel, x)
+    taps = np.asarray(channel.taps)
+    mem = channel.length - 1
+    n0 = x.power / rho
+    rates = []
+    for s in range(n_seeds):
+        rng = stream_rng(seed, s)
+        idx = np.searchsorted(np.cumsum(x.probs), rng.random(n_symbols + mem))
+        clean = np.convolve(np.asarray(x.atoms)[idx], taps)[mem : mem + n_symbols]
+        noise = math.sqrt(n0) * rng.standard_normal(n_symbols)
+        log_p_cond = -0.5 * float(noise @ noise) / n0 - 0.5 * n_symbols * math.log(
+            2.0 * math.pi * n0
+        )
+        log_p = forward_log_likelihood(clean + noise, trellis, n0)
+        rates.append((log_p_cond - log_p) / n_symbols)
+    return np.array(rates)
+
+
+class TestSparseRecursion:
+    @pytest.mark.parametrize("case", range(len(SPARSE_CASES)))
+    def test_matches_sequential(self, case):
+        ch, x = SPARSE_CASES[case]
+        trellis = build_trellis(ch, x)
+        y = 1.5 * np.random.default_rng(case).standard_normal(400)
+        seq = forward_log_likelihood(y, trellis, 0.4)
+        sparse = _forward_log_likelihood_sparse(y, trellis, 0.4)
+        assert abs(sparse - seq) <= 1e-12 * abs(seq)
+
+    @pytest.mark.parametrize("case", [2, 3])
+    def test_batch_rows_equal_single_calls(self, case):
+        # long enough that a row and the batch split time into different
+        # chunks
+        ch, x = SPARSE_CASES[case]
+        trellis = build_trellis(ch, x)
+        y = np.random.default_rng(5).standard_normal((3, 3000))
+        batch = _forward_log_likelihood_sparse(y, trellis, 0.6)
+        assert batch.shape == (3,)
+        for row, value in zip(y, batch):
+            assert _forward_log_likelihood_sparse(row, trellis, 0.6) == value
+
+    def test_estimate_rate_matches_oracle(self):
+        rho = 10 ** 0.6
+        est = estimate_rate(jeong(), bpsk(), rho, 10_000, 3, seed=7)
+        ref = oracle_rates(jeong(), bpsk(), rho, 10_000, 3, seed=7)
+        assert np.allclose(est.notes["per_seed"], ref, rtol=1e-12, atol=0.0)
+        again = estimate_rate(jeong(), bpsk(), rho, 10_000, 3, seed=7)
+        assert again.notes["per_seed"] == est.notes["per_seed"]
+
+    def test_memory_bounded_beyond_dense_scan(self):
+        # 256 states: one dense scan chunk alone would be 2048 x 256^2
+        # doubles (1.1 GB)
+        ch = ChannelResponse((0.1, 0.2, 0.3, 0.4, 0.6, 0.4, 0.3, 0.2, 0.1))
+        rho = 2.0
+        tracemalloc.start()
+        try:
+            est = estimate_rate(ch, bpsk(), rho, 10_000, 2, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        ref = oracle_rates(ch, bpsk(), rho, 10_000, 2, seed=3)
+        assert np.allclose(est.notes["per_seed"], ref, rtol=1e-12, atol=0.0)
 
 
 class TestEstimateRate:

@@ -102,6 +102,13 @@ class TestMutualInfo:
                 assert val <= min(x.entropy, 0.5 * math.log1p(gamma)) + 1e-9
                 prev = val
 
+    def test_never_above_entropy(self):
+        # uncapped, quadrature rounding puts the BPSK I_x(1000) 3.7e-15
+        # above log 2; the cap must hold exactly
+        for x in PRESETS.values():
+            for gamma in (1e3, 1e4, 1e5):
+                assert mutual_info(x, gamma) <= x.entropy
+
     def test_concavity(self):
         gammas = np.linspace(0.1, 5.0, 9)
         vals = [mutual_info(bpsk(), g) for g in gammas]
