@@ -17,9 +17,17 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.optimize import brentq
 
 from .channel import ChannelResponse, spectral_summary
-from .equalizer import DfeDesign, DfeSummary, closed_form_summary, design_mmse_dfe, summarize
+from .equalizer import (
+    DfeDesign,
+    DfeSummary,
+    closed_form_summary,
+    design_mmse_dfe,
+    summarize,
+    summary_from_spectral,
+)
 from .errors import (
     BudgetExceeded,
     DomainError,
@@ -155,60 +163,115 @@ def i_mmse_exact(
 # ---------------------------------------------------------------------------
 # Monte-Carlo I_MMSE via a characteristic-function density table
 
+# Elements of one block of per-tap factors in _char_fn (2 MB of float64).
+_CF_BLOCK = 2**18
+
+
+def _fft_grid(taps, atoms, sigma: float, pps: int = 32, pad: float = 16.0):
+    """FFT grid (lo, dy, n) for y = sum_k t_k x_k + sigma N.
+
+    It spans the support of the noiseless sum padded by ``pad`` sigma on
+    each side, with n a power of two (at least 512) and dy <= sigma/pps;
+    raises BudgetExceeded beyond 2^22 points.
+    """
+    per_tap = np.multiply.outer(np.asarray(taps, dtype=float), atoms)
+    lo = float(per_tap.min(axis=1).sum()) if per_tap.size else 0.0
+    hi = float(per_tap.max(axis=1).sum()) if per_tap.size else 0.0
+    lo -= pad * sigma
+    hi += pad * sigma
+    n = 1 << max(9, int(np.ceil(np.log2((hi - lo) / (sigma / pps)))))
+    if n > 1 << 22:
+        raise BudgetExceeded("density grid too large")
+    return lo, (hi - lo) / n, n
+
+
+def _frequencies(n: int, dy: float) -> np.ndarray:
+    """The n/2 + 1 nonnegative angular frequencies of an n-point grid of step dy."""
+    return 2.0 * np.pi * np.fft.rfftfreq(n, d=dy)
+
+
+def _char_fn(taps, atoms, probs, sigma: float, omega: np.ndarray) -> np.ndarray:
+    """Phi(w) = exp(-sigma^2 w^2 / 2) prod_k E e^{i w t_k x} at the frequencies w."""
+    taps = np.asarray(taps, dtype=float)
+    phi = np.exp(-0.5 * (sigma * omega) ** 2).astype(complex)
+    block = max(1, _CF_BLOCK // (atoms.size * omega.size))
+    for i in range(0, taps.size, block):
+        arg = np.multiply.outer(np.multiply.outer(taps[i : i + block], atoms), omega)
+        # (k, |A|, w) -> (k, w): each tap's E e^{i w t x}, then their product
+        phi *= (probs @ np.cos(arg) + 1j * (probs @ np.sin(arg))).prod(axis=0)
+    return phi
+
+
+def _invert(phi: np.ndarray, omega: np.ndarray, start: float, dy: float, n: int) -> np.ndarray:
+    """p(start + k dy), k < n, by inverting Phi on the grid's frequencies.
+
+    p(y) = (1/(n dy)) sum_j Phi(w_j) e^{-i w_j y} over all n frequencies;
+    Phi(-w) = conj Phi(w), so the sum is real and irfft takes it from the
+    nonnegative half.
+    """
+    return np.fft.irfft(np.conj(phi) * np.exp(1j * omega * start), n) / dy
+
 
 class _LogDensityTable:
-    """log p(y) for y = sum_k t_k x_k + sigma N, on a spline over an FFT grid.
+    """log p(y) on a cubic spline over an FFT grid (lo, dy, n), from the
+    density's characteristic function Phi at the grid's frequencies.
 
-    The density is recovered from its closed-form characteristic function
-    Phi(w) = exp(-sigma^2 w^2 / 2) prod_k E e^{i w t_k x}; grid spacing is
-    sigma/32 and padding 16 sigma, putting aliasing and truncation errors
-    far below double precision. ``audit_err`` is the measured spline error
-    at off-grid points against direct inversion of Phi.
+    Grid step sigma/32 and padding 16 sigma put aliasing and truncation
+    errors far below double precision. ``audit_err`` compares the spline
+    with p inverted exactly at the midpoints between every n//512-th pair
+    of grid points (``audit_y``, ``audit_logp``), over the region holding
+    all but ~1e-12 of the sampling mass. Its ~1e-6 is the round-off of
+    that inversion where p is ~1e-10 of its peak; further out the table
+    is FFT round-off, and samples land there with ~zero mass.
     """
 
-    def __init__(self, taps, atoms, probs, sigma, pps: int = 32, pad: float = 16.0):
-        taps = np.asarray(taps, dtype=float)
-        atoms = np.asarray(atoms, dtype=float)
-        probs = np.asarray(probs, dtype=float)
-        per_tap = taps[:, None] * atoms[None, :]
-        lo = float(per_tap.min(axis=1).sum()) if taps.size else 0.0
-        hi = float(per_tap.max(axis=1).sum()) if taps.size else 0.0
-        lo -= pad * sigma
-        hi += pad * sigma
-        n = 1 << max(9, int(np.ceil(np.log2((hi - lo) / (sigma / pps)))))
-        if n > 1 << 22:
-            raise BudgetExceeded("density grid too large")
-        self.lo, self.hi, self.sigma = lo, hi, sigma
-        dy = (hi - lo) / n
+    def __init__(self, lo: float, dy: float, n: int, phi: np.ndarray):
+        self.lo, self.hi = lo, lo + n * dy
+        omega = _frequencies(n, dy)
         y = lo + dy * np.arange(n)
-        omega = 2.0 * np.pi * np.fft.fftfreq(n, d=dy)
-        phi = np.exp(-0.5 * (sigma * omega) ** 2).astype(complex)
-        for t in taps:
-            phi *= np.exp(1j * np.outer(omega, t * atoms)) @ probs
-        self._omega, self._phi, self._dy = omega, phi, dy
-        # p(y_k) = (1/(n dy)) sum_j phi_j e^{-i omega_j (lo + k dy)}: the
-        # e^{-2 pi i jk/n} kernel is the FORWARD transform
-        p = np.fft.fft(phi * np.exp(-1j * omega * lo)).real / (n * dy)
+        p = _invert(phi, omega, lo, dy, n)
         floor = p.max() * 1e-280
         self._logp = CubicSpline(y, np.log(np.maximum(p, floor)))
-        # audit the spline against direct inversion at off-grid points, over
-        # the region holding all but ~1e-12 of the sampling mass (further out
-        # the table is FFT round-off; samples land there with ~zero mass)
-        mid = y[: -1 : max(1, n // 512)] + 0.5 * dy
-        direct = self._direct_log(mid)
-        mask = direct >= direct.max() - 23.0
-        self.audit_err = float(np.max(np.abs(self._logp(mid[mask]) - direct[mask])))
-
-    def _direct_log(self, ys: np.ndarray) -> np.ndarray:
-        """Direct inversion of the characteristic function at arbitrary points."""
-        kernel = np.exp(-1j * np.outer(ys, self._omega))
-        p = (kernel @ self._phi).real * (1.0 / (self._dy * self._omega.size))
-        return np.log(np.maximum(p, 1e-300))
+        # the midpoints lie on the grid shifted by dy/2: one more inversion
+        stride = max(1, n // 512)
+        self.audit_y = y[:-1:stride] + 0.5 * dy
+        direct = _invert(phi, omega, lo + 0.5 * dy, dy, n)[:-1:stride]
+        self.audit_logp = np.log(np.maximum(direct, 1e-300))
+        mask = self.audit_logp >= self.audit_logp.max() - 23.0
+        self.audit_err = float(
+            np.max(np.abs(self._logp(self.audit_y[mask]) - self.audit_logp[mask]))
+        )
 
     def __call__(self, ys: np.ndarray) -> np.ndarray:
         if ys.min() < self.lo or ys.max() > self.hi:
             raise ValueError("sample outside density table support")
         return self._logp(ys)
+
+
+def _density_tables(taps1, atoms, probs, sigma: float):
+    """Tables of y0 = x_0 + sum_k t_k x_k + sigma N and of y1 = y0 - x_0.
+
+    Both share the grid of y0, whose support contains that of y1 for a
+    zero-mean input, and Phi0 = Phi1 E e^{i w x}.
+    """
+    lo, dy, n = _fft_grid(np.concatenate(([1.0], taps1)), atoms, sigma)
+    omega = _frequencies(n, dy)
+    phi1 = _char_fn(taps1, atoms, probs, sigma, omega)
+    phi0 = phi1 * _char_fn(np.ones(1), atoms, probs, 0.0, omega)
+    return _LogDensityTable(lo, dy, n, phi0), _LogDensityTable(lo, dy, n, phi1)
+
+
+def _sample_indices(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
+    """Atom indices of uniforms u under the cumulative probabilities cum.
+
+    Counts the entries of cum[:-1] below u: searchsorted(cum, u) bit for
+    bit, except that a u above a rounded cum[-1] < 1 maps to the last atom
+    instead of one past it.
+    """
+    idx = np.zeros(u.shape, dtype=np.min_scalar_type(cum.size - 1))
+    for c in cum[:-1]:
+        idx += u > c
+    return idx
 
 
 def i_mmse_mc(
@@ -231,8 +294,7 @@ def i_mmse_mc(
     probs = np.asarray(x.probs)
     sigma = math.sqrt(design.noise_var)
     taps1 = design.residual
-    table0 = _LogDensityTable(np.concatenate(([1.0], taps1)), atoms, probs, sigma)
-    table1 = _LogDensityTable(taps1, atoms, probs, sigma)
+    table0, table1 = _density_tables(taps1, atoms, probs, sigma)
     audit = max(table0.audit_err, table1.audit_err)
     if audit > 1e-2:
         raise NonConvergent(f"density table failed its self-check ({audit:.2e})")
@@ -243,8 +305,7 @@ def i_mmse_mc(
     total_sq = 0.0
     for s, m in enumerate(counts):
         rng = stream_rng(seed, s)
-        idx = np.searchsorted(cum, rng.random((m, taps1.size + 1)))
-        vals = atoms[idx]
+        vals = atoms.take(_sample_indices(rng.random((m, taps1.size + 1)), cum))
         c = vals[:, 1:] @ taps1
         y1 = c + sigma * rng.standard_normal(m)
         y0 = vals[:, 0] + y1
@@ -259,7 +320,7 @@ def i_mmse_mc(
         n_samples=n_samples,
         n_seeds=n_streams,
         seeds=tuple((seed, s) for s in range(n_streams)),
-        notes={"density_audit_err": max(table0.audit_err, table1.audit_err)},
+        notes={"density_audit_err": audit},
     )
 
 
@@ -374,6 +435,9 @@ def genie_one_cluster(
 
 # ---------------------------------------------------------------------------
 # Information-Estimation bound family
+#
+# Each bound is a function of the closed-form summary alone; the public
+# (channel, x, rho) forms compute that summary and call the private core.
 
 
 def ie_bound(
@@ -405,36 +469,21 @@ def _ie_bound_from_summary(
 
 def ie_simple(channel: ChannelResponse, x: InputDistribution, rho: float) -> float:
     """The gamma1 = gamma2 = S point: I_x(b0^2 S) - (1/2) log(1 + b1^2 S)."""
-    cf = closed_form_summary(channel, rho)
+    return _ie_simple(closed_form_summary(channel, rho), x)
+
+
+def _ie_simple(cf: DfeSummary, x: InputDistribution) -> float:
     return mutual_info(x, cf.beta0_sq * cf.S) - 0.5 * math.log1p(cf.beta1_sq * cf.S)
 
 
 def ie_conj(channel: ChannelResponse, x: InputDistribution, rho: float) -> float:
     """I_x(b0^2 S) - I_x(b1^2 S). Conjectured lower bound only: it has never
     been proven, and is reported flagged as such."""
-    cf = closed_form_summary(channel, rho)
+    return _ie_conj(closed_form_summary(channel, rho), x)
+
+
+def _ie_conj(cf: DfeSummary, x: InputDistribution) -> float:
     return mutual_info(x, cf.beta0_sq * cf.S) - mutual_info(x, cf.beta1_sq * cf.S)
-
-
-def _bisect(f, lo: float, hi: float, rel_tol: float = 1e-10) -> float:
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if np.sign(flo) == np.sign(fhi):
-        raise ValueError("no sign change")
-    while hi - lo > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if np.sign(fm) == np.sign(flo):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def ie_opt(
@@ -442,26 +491,34 @@ def ie_opt(
 ) -> tuple[float, float, float]:
     """Optimized two-parameter bound; returns (value, gamma1*, gamma2*).
 
-    gamma1* equalizes b0^2 mmse(b0^2 g) and mmse(g) unless the simple point
-    already dominates; gamma2* equalizes mmse(g) and the Gaussian bound
-    b1^2/(1 + b1^2 g). Falls back to a separable log-grid search when a
-    bracket is invalid.
+    Unless the simple point already dominates, gamma2* equalizes mmse(g)
+    and the Gaussian bound b1^2/(1 + b1^2 g), and gamma1* <= gamma2*
+    equalizes b0^2 mmse(b0^2 g) and mmse(g). Falls back to a separable
+    log-grid search when a bracket holds no sign change.
     """
-    cf = closed_form_summary(channel, rho)
+    return _ie_opt(closed_form_summary(channel, rho), x)
+
+
+def _ie_opt(cf: DfeSummary, x: InputDistribution) -> tuple[float, float, float]:
     s, b0, b1 = cf.S, cf.beta0_sq, cf.beta1_sq
     mm = lambda g: mmse(x, g)
-    simple = mutual_info(x, b0 * s) - 0.5 * math.log1p(b1 * s)
+    simple = _ie_simple(cf, x)
     if b0 * mm(b0 * s) >= mm(s):
         return simple, s, s
+    # roots to 1e-10 relative; the absolute floor is that of the lowest root
+    lo = 1e-12 * s
+    root = lambda f, hi: brentq(f, lo, hi, xtol=1e-10 * lo, rtol=1e-10)
+    f1 = lambda g: b0 * mm(b0 * g) - mm(g)
     try:
-        g1 = _bisect(lambda g: b0 * mm(b0 * g) - mm(g), 1e-12 * s, s)
         if mm(s) >= b1 / (1.0 + b1 * s):
             g2 = s
         else:
-            g2 = _bisect(lambda g: mm(g) - b1 / (1.0 + b1 * g), 1e-12 * s, s)
-        g1 = min(g1, g2)
+            g2 = root(lambda g: mm(g) - b1 / (1.0 + b1 * g), s)
+        # search g1 below g2 only: for skewed inputs f1 changes sign many
+        # times in quadrature noise above its first root
+        g1 = g2 if f1(g2) >= 0.0 else root(f1, g2)
         value = _ie_bound_from_summary(cf, x, g1, g2)
-    except ValueError:
+    except ValueError:  # brentq: no sign change over the bracket
         warnings.warn("ie_opt bracket failed; falling back to grid search")
         grid = np.concatenate(([0.0], np.geomspace(1e-10 * s, s, 511)))
         term1 = np.array([mutual_info(x, b0 * g) - mutual_info(x, g) for g in grid])
@@ -520,17 +577,18 @@ def bound_report(
     component budget, else Monte Carlo) or "none".
     """
     ss = spectral_summary(channel, rho)
-    opt_value, g1, g2 = ie_opt(channel, x, rho)
+    cf = summary_from_spectral(ss)
+    opt_value, g1, g2 = _ie_opt(cf, x)
     report_kwargs = dict(
         rho=rho,
         gaussian_rate=ss.gaussian_rate,
         i_sow=mutual_info(x, ss.snr_zf_dfe),
         i_sl=mutual_info(x, math.expm1(ss.gaussian_rate)),
-        ie_simple=ie_simple(channel, x, rho),
+        ie_simple=_ie_simple(cf, x),
         ie_opt=opt_value,
         gamma1_opt=g1,
         gamma2_opt=g2,
-        ie_conj=ie_conj(channel, x, rho),
+        ie_conj=_ie_conj(cf, x),
         i_mmse=None,
         i_mmse_method=None,
         i_mmse_std_error=None,

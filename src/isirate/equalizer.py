@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelResponse, spectral_summary
+from .channel import ChannelResponse, SpectralSummary, spectral_summary
 from .errors import BudgetExceeded, DomainError, RootFindingFailure
 from .scalar import InputDistribution
 
@@ -45,8 +45,9 @@ class DfeDesign:
 
     residual    : truncated residual-ISI taps alpha_1..alpha_N; alpha_0 = 1
         by construction and is not stored.
-    residual_full : every computed residual tap, untruncated; beyond it
-        the impulse response of 1/G has decayed below about 1e-20.
+    residual_full : the untruncated taps alpha_1..alpha_{m-1}, with m the
+        length at which the slowest pole of 1/G has decayed to 1e-20;
+        the inverse FFT's padding beyond m is not kept.
     noise_var   : E m^2 of the Gaussian noise at the unbiased output.
     """
 
@@ -58,7 +59,7 @@ class DfeDesign:
 
     @property
     def ff_half_len(self) -> int:
-        """Number of computed residual taps, residual_full.size (read-only)."""
+        """Number of kept residual taps, residual_full.size (read-only)."""
         return int(self.residual_full.size)
 
     @property
@@ -146,14 +147,18 @@ def design_mmse_dfe(
     g, r_max = _min_phase_factor(r)
     # snr_dfe = rho gamma_0 = (1 + rho r_0)/sum g_i^2, free of cancellation
     snr_m1 = float(np.expm1(np.log1p(rho * energy) - np.log1p(g[1:] @ g[1:])))
-    n = max(2 * L, int(np.ceil(np.log(_INVERSE_TAIL) / np.log(r_max))))
-    n = 1 << (n - 1).bit_length()
+    m = max(2 * L, int(np.ceil(np.log(_INVERSE_TAIL) / np.log(r_max))))
+    n = 1 << (m - 1).bit_length()
     if n > _MAX_INVERSE_LEN:
         raise BudgetExceeded(f"1/G needs {n} taps at rho = {rho:.3g}, above {_MAX_INVERSE_LEN}")
     c = np.fft.irfft(1.0 / np.fft.rfft(g, n), n)
     alpha = -c[1:] / snr_m1
     noise_var = px * (snr_m1 - float(c[1:] @ c[1:])) / snr_m1**2
-    return DfeDesign(_truncate(alpha), alpha, noise_var, rho, px)
+    residual = _truncate(alpha)
+    # keep the m - 1 taps the decay bound asks for; the padding to n (up to
+    # as many taps again) lies below 1e-12 of the largest tap
+    kept = alpha[: max(m - 1, residual.size)].copy()
+    return DfeDesign(kept[: residual.size], kept, noise_var, rho, px)
 
 
 def summarize(design: DfeDesign, x: InputDistribution) -> DfeSummary:
@@ -173,7 +178,12 @@ def summarize(design: DfeDesign, x: InputDistribution) -> DfeSummary:
 
 
 def closed_form_summary(channel: ChannelResponse, rho: float) -> DfeSummary:
-    """Residual summaries from the equalizer output SNRs alone.
+    """Residual summaries from the equalizer output SNRs alone."""
+    return summary_from_spectral(spectral_summary(channel, rho))
+
+
+def summary_from_spectral(ss: SpectralSummary) -> DfeSummary:
+    """Residual summaries from the output SNRs of one spectral summary.
 
     No closed form exists for the third/fourth-power tap sums, so
     gamma1_cu and delta1_4 are left unset. Below snr_le - 1 = 1e-9 the
@@ -181,7 +191,6 @@ def closed_form_summary(channel: ChannelResponse, rho: float) -> DfeSummary:
     limits (beta1_sq = 0, S = snr_dfe - 1) are returned. eps0 and eps1
     follow from the same identities as in summarize.
     """
-    ss = spectral_summary(channel, rho)
     d, e = ss.snr_dfe, ss.snr_le
     if e - 1.0 <= 1e-9:
         beta1_sq, s = 0.0, d - 1.0

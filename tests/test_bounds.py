@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from isirate.bounds import (
+    _char_fn,
+    _density_tables,
     _enumerate_mixture,
+    _fft_grid,
+    _frequencies,
+    _LogDensityTable,
+    _sample_indices,
     bound_report,
     genie_equal_sigma,
     genie_mmse_lower,
@@ -123,6 +129,82 @@ class TestImmseMc:
         d = design_mmse_dfe(two_tap_channel(0.5), bpsk(), 1.0)
         with pytest.raises(DomainError):
             i_mmse_mc(d, bpsk(), 100, seed=1)
+
+
+def _direct_log(ys, taps, atoms, probs, sigma, dy, n):
+    """Oracle: log p(y) by direct inversion of the characteristic function.
+
+    Phi is formed on all n frequencies of the grid, one complex exponential
+    per tap, and summed at arbitrary points with a dense kernel.
+    """
+    omega = 2.0 * np.pi * np.fft.fftfreq(n, d=dy)
+    phi = np.exp(-0.5 * (sigma * omega) ** 2).astype(complex)
+    for t in taps:
+        phi *= np.exp(1j * np.outer(omega, t * atoms)) @ probs
+    p = (np.exp(-1j * np.outer(ys, omega)) @ phi).real / (dy * n)
+    return np.log(np.maximum(p, 1e-300))
+
+
+_TABLE_CASES = [
+    (jeong(), bpsk(), -12.0),
+    (jeong(), bpsk(), 15.0),
+    (channel_b(), make_skewed_binary(0.002), 2.5),
+]
+
+
+def _table_inputs(ch, x, snr_db):
+    d = design_mmse_dfe(ch, x, 10 ** (snr_db / 10))
+    return d.residual, np.asarray(x.atoms), np.asarray(x.probs), math.sqrt(d.noise_var)
+
+
+class TestDensityTable:
+    @pytest.mark.parametrize("ch,x,snr_db", _TABLE_CASES)
+    def test_audit_matches_direct_inversion(self, ch, x, snr_db):
+        taps1, atoms, probs, sigma = _table_inputs(ch, x, snr_db)
+        taps0 = np.concatenate(([1.0], taps1))
+        _, dy, n = _fft_grid(taps0, atoms, sigma)
+        for table, taps in zip(_density_tables(taps1, atoms, probs, sigma), (taps0, taps1)):
+            ref = _direct_log(table.audit_y, taps, atoms, probs, sigma, dy, n)
+            mask = ref >= ref.max() - 23.0
+            # both sides are at round-off ~1e-15 of the peak density
+            peak = math.exp(ref.max())
+            diff = np.abs(np.exp(table.audit_logp[mask]) - np.exp(ref[mask]))
+            assert diff.max() <= 1e-12 * peak
+            assert table.audit_err < 1e-4
+
+    @pytest.mark.parametrize("ch,x,snr_db", _TABLE_CASES)
+    def test_shared_grid_matches_own_grid(self, ch, x, snr_db):
+        taps1, atoms, probs, sigma = _table_inputs(ch, x, snr_db)
+        _, table1 = _density_tables(taps1, atoms, probs, sigma)
+        lo, dy, n = _fft_grid(taps1, atoms, sigma)
+        own = _LogDensityTable(lo, dy, n, _char_fn(taps1, atoms, probs, sigma, _frequencies(n, dy)))
+        ys = lo + dy * np.arange(n)
+        ref = own(ys)
+        shared = table1(ys)
+        # where p > e^-10 of its peak the tables differ by spline error only;
+        # deeper in the tails both are FFT round-off, ~1e-15 of the peak
+        core = ref >= ref.max() - 10.0
+        assert np.max(np.abs(shared[core] - ref[core])) <= 1e-8
+        mask = ref >= ref.max() - 23.0
+        peak = math.exp(ref.max())
+        assert np.max(np.abs(np.exp(shared[mask]) - np.exp(ref[mask]))) <= 1e-9 * peak
+
+
+class TestSampleIndices:
+    @pytest.mark.parametrize("x", [bpsk(), make_skewed_binary(0.002), make_trinary(0.01)])
+    def test_matches_searchsorted(self, x, rng):
+        cum = np.cumsum(x.probs)
+        u = rng.random((1000, 100))
+        idx = _sample_indices(u, cum)
+        assert idx.dtype == np.uint8
+        assert np.array_equal(idx, np.searchsorted(cum, u))
+
+    @pytest.mark.parametrize("last", [1.0 - 2.0**-52, 1.0 - 2.0**-53])
+    def test_index_stays_in_alphabet(self, last):
+        cum = np.array([0.25, 0.5, last])
+        u = np.array([np.nextafter(last, 2.0), 0.3])
+        assert np.searchsorted(cum, u)[0] == cum.size  # one past the last atom
+        assert _sample_indices(u, cum).tolist() == [cum.size - 1, 1]
 
 
 class TestGapSeries:
@@ -307,6 +389,25 @@ class TestIeBounds:
             a, b = np.sort(rng.uniform(0.0, cf.S, 2))
             assert opt >= ie_bound(jeong(), bpsk(), rho, float(a), float(b)) - 1e-9
 
+    @pytest.mark.parametrize("ch,snr_db", [(jeong(), 0.0), (channel_b(), 6.0)])
+    def test_opt_gamma1_best_below_gamma2(self, ch, snr_db):
+        # skewed inputs: b0^2 mmse(b0^2 g) - mmse(g) changes sign many times
+        # above its first root, so gamma1* is sought below gamma2* only
+        x = make_skewed_binary(0.002)
+        rho = 10 ** (snr_db / 10)
+        opt, g1, g2 = ie_opt(ch, x, rho)
+        assert 0.0 < g1 < g2
+        for g in np.geomspace(1e-6 * g2, g2, 60):
+            assert opt >= ie_bound(ch, x, rho, float(g), g2) - 1e-12
+
+    def test_opt_bracket_failure_falls_back_to_grid(self):
+        # beta1_sq > 1: mmse(g) - b1/(1 + b1 g) has no sign change
+        x = make_skewed_binary(0.002)
+        with pytest.warns(UserWarning, match="grid search"):
+            opt, g1, g2 = ie_opt(jeong(), x, 0.1)
+        assert opt >= ie_simple(jeong(), x, 0.1)
+        assert 0.0 <= g1 <= g2
+
     def test_opt_at_least_simple(self):
         for snr_db in (-6.0, 0.0, 6.0, 12.0):
             rho = 10 ** (snr_db / 10)
@@ -386,6 +487,15 @@ class TestAsymmetricDensityRegression:
         for snr_db in (-15.0, 2.5):
             rho = 10 ** (snr_db / 10.0)
             d = design_mmse_dfe(channel_b(), x, rho)
+            ex = i_mmse_exact(d, x)
+            mc = i_mmse_mc(d, x, 100_000, seed=4)
+            assert abs(mc.value - ex.value) <= 3.0 * mc.std_error, snr_db
+            assert mc.notes["density_audit_err"] < 1e-3
+
+    def test_mc_matches_exact_trinary_input(self):
+        x = make_trinary(0.01)
+        for snr_db in (-20.0, -15.0):
+            d = design_mmse_dfe(channel_b(), x, 10 ** (snr_db / 10.0))
             ex = i_mmse_exact(d, x)
             mc = i_mmse_mc(d, x, 100_000, seed=4)
             assert abs(mc.value - ex.value) <= 3.0 * mc.std_error, snr_db

@@ -124,6 +124,13 @@ class TestTruncationRule:
         tail = float(full[n:] @ full[n:])
         assert tail < 1e-10 * float(full @ full)
 
+    def test_design_keeps_no_fft_padding(self):
+        # jeong_spaced at 20 dB inverts G on 4096 points but needs ~2700 taps
+        d = design_mmse_dfe(jeong_spaced(), bpsk(), 100.0)
+        assert d.residual_full.base is None
+        assert np.shares_memory(d.residual, d.residual_full)
+        assert d.residual.size <= d.residual_full.size < 4095
+
 
 class TestAppendixIdentities:
     def test_channel_b(self):
