@@ -29,7 +29,6 @@ from .scalar import (
 from .equalizer import (
     DfeDesign,
     DfeSummary,
-    closed_form_summary,
     design_mmse_dfe,
     summarize,
     two_tap_residual,

@@ -19,19 +19,11 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
-from .channel import ChannelResponse, spectral_summary
-from .equalizer import (
-    DfeDesign,
-    DfeSummary,
-    closed_form_summary,
-    design_mmse_dfe,
-    summarize,
-    summary_from_spectral,
-)
+from .channel import ChannelResponse, log_mean_spectrum
+from .equalizer import DfeDesign, DfeSummary, design_mmse_dfe, summarize
 from .errors import (
     BudgetExceeded,
     DomainError,
-    MissingMoments,
     NonConvergent,
     NormalizationViolated,
     PartitionInvalid,
@@ -53,12 +45,12 @@ _MC_STREAMS = 8
 
 def i_sow(channel: ChannelResponse, x: InputDistribution, rho: float) -> float:
     """I_x at the unbiased ZF-DFE output SNR rho * g_zf_dfe."""
-    return mutual_info(x, spectral_summary(channel, rho).snr_zf_dfe)
+    return mutual_info(x, rho * math.exp(log_mean_spectrum(channel)))
 
 
 def i_sl(channel: ChannelResponse, x: InputDistribution, rho: float) -> float:
     """I_x at the unbiased MMSE-DFE output SNR exp<log(1+rho|H|^2)> - 1."""
-    return mutual_info(x, math.expm1(spectral_summary(channel, rho).gaussian_rate))
+    return mutual_info(x, math.expm1(design_mmse_dfe(channel, x, rho).gaussian_rate))
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +326,6 @@ def slc_gap_series(summary: DfeSummary, x: InputDistribution) -> float:
     -(gamma1 s^2 / 6 b0^6) eps0^3
     - (delta1 k^2 / 24 b0^8 - (2 b0^2 + gamma1) gamma1 s^2 / 4 b0^8) eps0^4
     """
-    if summary.gamma1_cu is None or summary.delta1_4 is None:
-        raise MissingMoments("tap-domain gamma/delta sums are required")
     s2 = x.skewness**2
     k2 = x.excess_kurtosis**2
     b0 = summary.beta0_sq
@@ -436,8 +426,13 @@ def genie_one_cluster(
 # ---------------------------------------------------------------------------
 # Information-Estimation bound family
 #
-# Each bound is a function of the closed-form summary alone; the public
-# (channel, x, rho) forms compute that summary and call the private core.
+# Each bound is a function of the design's residual summary alone; the
+# public (channel, x, rho) forms design the DFE, summarise it and call the
+# private core.
+
+
+def _design_summary(channel: ChannelResponse, x: InputDistribution, rho: float) -> DfeSummary:
+    return summarize(design_mmse_dfe(channel, x, rho), x)
 
 
 def ie_bound(
@@ -448,8 +443,7 @@ def ie_bound(
     gamma2: float,
 ) -> float:
     """Two-parameter lower bound on I_MMSE, valid for 0 <= g1 <= g2 <= S."""
-    cf = closed_form_summary(channel, rho)
-    return _ie_bound_from_summary(cf, x, gamma1, gamma2)
+    return _ie_bound_from_summary(_design_summary(channel, x, rho), x, gamma1, gamma2)
 
 
 def _ie_bound_from_summary(
@@ -469,7 +463,7 @@ def _ie_bound_from_summary(
 
 def ie_simple(channel: ChannelResponse, x: InputDistribution, rho: float) -> float:
     """The gamma1 = gamma2 = S point: I_x(b0^2 S) - (1/2) log(1 + b1^2 S)."""
-    return _ie_simple(closed_form_summary(channel, rho), x)
+    return _ie_simple(_design_summary(channel, x, rho), x)
 
 
 def _ie_simple(cf: DfeSummary, x: InputDistribution) -> float:
@@ -479,7 +473,7 @@ def _ie_simple(cf: DfeSummary, x: InputDistribution) -> float:
 def ie_conj(channel: ChannelResponse, x: InputDistribution, rho: float) -> float:
     """I_x(b0^2 S) - I_x(b1^2 S). Conjectured lower bound only: it has never
     been proven, and is reported flagged as such."""
-    return _ie_conj(closed_form_summary(channel, rho), x)
+    return _ie_conj(_design_summary(channel, x, rho), x)
 
 
 def _ie_conj(cf: DfeSummary, x: InputDistribution) -> float:
@@ -491,20 +485,27 @@ def ie_opt(
 ) -> tuple[float, float, float]:
     """Optimized two-parameter bound; returns (value, gamma1*, gamma2*).
 
-    Unless the simple point already dominates, gamma2* equalizes mmse(g)
+    Unless (S, S) is a KKT point of the bound, gamma2* equalizes mmse(g)
     and the Gaussian bound b1^2/(1 + b1^2 g), and gamma1* <= gamma2*
     equalizes b0^2 mmse(b0^2 g) and mmse(g). Falls back to a separable
-    log-grid search when a bracket holds no sign change.
+    log-grid search when a bracket holds no sign change. The result is
+    never below the simple point (S, S) nor the trivial point (0, 0),
+    whose bound is 0; the latter is returned as (0.0, 0.0, 0.0).
     """
-    return _ie_opt(closed_form_summary(channel, rho), x)
+    return _ie_opt(_design_summary(channel, x, rho), x)
 
 
 def _ie_opt(cf: DfeSummary, x: InputDistribution) -> tuple[float, float, float]:
     s, b0, b1 = cf.S, cf.beta0_sq, cf.beta1_sq
     mm = lambda g: mmse(x, g)
+    # the simple point (S, S), or the trivial point (0, 0) whose bound is 0
     simple = _ie_simple(cf, x)
-    if b0 * mm(b0 * s) >= mm(s):
-        return simple, s, s
+    best = (simple, s, s) if simple >= 0.0 else (0.0, 0.0, 0.0)
+    # stop at (S, S) only at a KKT point, b0 mmse(b0 S) >= mmse(S) and
+    # >= b1/(1 + b1 S); mmse round-off near 0 cannot fake the second
+    t1 = b0 * mm(b0 * s)
+    if t1 >= mm(s) and t1 >= b1 / (1.0 + b1 * s):
+        return best
     # roots to 1e-10 relative; the absolute floor is that of the lowest root
     lo = 1e-12 * s
     root = lambda f, hi: brentq(f, lo, hi, xtol=1e-10 * lo, rtol=1e-10)
@@ -531,9 +532,7 @@ def _ie_opt(cf: DfeSummary, x: InputDistribution) -> tuple[float, float, float]:
             i1 = i2
         g1, g2 = float(grid[i1]), float(grid[i2])
         value = term1[i1] + term2[i2]
-    if value < simple:
-        return simple, s, s
-    return value, g1, g2
+    return (value, g1, g2) if value >= best[0] else best
 
 
 # ---------------------------------------------------------------------------
@@ -574,16 +573,18 @@ def bound_report(
     """Evaluate every bound at one SNR point.
 
     ``i_mmse_method``: "exact", "mc", "auto" (exact if the mixture fits the
-    component budget, else Monte Carlo) or "none".
+    component budget, else Monte Carlo) or "none". Every bound reads the
+    one spectral factorisation behind ``design``, which is made here
+    unless the caller passes it.
     """
-    ss = spectral_summary(channel, rho)
-    cf = summary_from_spectral(ss)
+    design = design or design_mmse_dfe(channel, x, rho)
+    cf = summarize(design, x)
     opt_value, g1, g2 = _ie_opt(cf, x)
     report_kwargs = dict(
         rho=rho,
-        gaussian_rate=ss.gaussian_rate,
-        i_sow=mutual_info(x, ss.snr_zf_dfe),
-        i_sl=mutual_info(x, math.expm1(ss.gaussian_rate)),
+        gaussian_rate=design.gaussian_rate,
+        i_sow=mutual_info(x, rho * math.exp(log_mean_spectrum(channel))),
+        i_sl=mutual_info(x, math.expm1(design.gaussian_rate)),
         ie_simple=_ie_simple(cf, x),
         ie_opt=opt_value,
         gamma1_opt=g1,
@@ -593,12 +594,8 @@ def bound_report(
         i_mmse_method=None,
         i_mmse_std_error=None,
         i_mmse_err_bound=None,
-        gap_series=None,
+        gap_series=slc_gap_series(cf, x) if include_gap_series else None,
     )
-    if i_mmse_method != "none" or include_gap_series:
-        design = design or design_mmse_dfe(channel, x, rho)
-    if include_gap_series:
-        report_kwargs["gap_series"] = slc_gap_series(summarize(design, x), x)
     if i_mmse_method == "auto":
         # dispatch on the pruned component count at a sweep-friendly ceiling;
         # an explicit "exact" request still honors the full budget

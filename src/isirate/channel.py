@@ -1,11 +1,15 @@
 """FIR channel model and its spectral summaries.
 
 The channel is y_k = sum_i h_i x_{k-i} + n_k with real taps h_0..h_{L-1}.
-All frequency-domain averages <.> are over theta in [-pi, pi]. Periodic
-integrands are averaged with a midpoint rule under grid doubling, which
-converges spectrally for the analytic integrands used here. The mean of
-log|H|^2 alone is evaluated exactly from the channel roots (Jensen), so
-spectral nulls stay finite.
+Every average <.> over theta in [-pi, pi] that a summary needs has a
+closed form in polynomial roots. <log |H|^2> follows from the channel
+roots by Jensen's formula, so spectral nulls stay finite. The rest come
+from impulse responses of minimum-phase inverses, by Parseval: with the
+one factorisation 1/rho + |H|^2 = gamma_0 |G|^2, G monic and minimum
+phase (Cioffi, Dudevoir, Eyuboglu and Forney, IEEE Trans. Commun. 1995),
+<log(1 + rho |H|^2)> = log(rho gamma_0) and <1/(1 + rho |H|^2)> =
+sum c_k^2 / (rho gamma_0), c the impulse response of 1/G; <1/|H|^2> is
+sum d_k^2 / K^2 with |H| = K |H_min| and d that of 1/H_min.
 """
 
 from __future__ import annotations
@@ -15,11 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonConvergent, RootFindingFailure
+from .errors import BudgetExceeded, DomainError, NonConvergent, RootFindingFailure
 
 _THETA_N0 = 512
 _THETA_NMAX = 2**21
-_DIVERGENCE_LIMIT = 1e12
+# Largest inverse-filter tap dropped, and the longest impulse response
+# computed (1/G reaches it near 100 dB on a channel with a spectral null).
+_INVERSE_TAIL = 1e-20
+_MAX_INVERSE_LEN = 2**22
+# Largest mismatch between gamma_0 |G|^2 and 1/rho + |H|^2, relative to r_0.
+_FACTOR_REL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -107,11 +116,8 @@ def transfer_power(channel: ChannelResponse, theta) -> np.ndarray | float:
 def _mean_over_theta(
     f, rel_tol: float = 1e-10, n0: int = _THETA_N0, n_max: int = _THETA_NMAX
 ) -> float:
-    """Mean of f(theta) over [-pi, pi] by midpoint-rule grid doubling.
-
-    Returns inf if the estimates grow past the divergence limit (used to
-    detect non-integrable integrands such as 1/|H|^2 at a spectral null).
-    """
+    """Mean of f(theta) over [-pi, pi] by midpoint-rule grid doubling, for
+    integrands with no closed form, and as an oracle for those that have one."""
     prev = None
     n = n0
     while n <= n_max:
@@ -122,8 +128,6 @@ def _mean_over_theta(
             theta = theta + 0.5 * np.pi / n
             vals = f(theta)
         est = float(np.mean(vals))
-        if not np.isfinite(est) or abs(est) > _DIVERGENCE_LIMIT:
-            return np.inf
         if prev is not None and abs(est - prev) <= rel_tol * max(abs(est), 1e-300):
             return est
         prev = est
@@ -158,6 +162,17 @@ def log_mean_spectrum(channel: ChannelResponse) -> float:
     return float(2.0 * np.log(abs(lead)) + 2.0 * np.log(mags[mags > 1.0]).sum())
 
 
+def _reflect_inside(channel: ChannelResponse) -> tuple[float, np.ndarray]:
+    """Gain K and roots of the monic minimum-phase H_min with |H| = K |H_min|:
+    roots u more than 1e-9 outside the unit circle go to 1/conj(u), and
+    K = |lead| prod |u| over them."""
+    lead, roots = _roots(channel)
+    mags = np.abs(roots)
+    outside = mags > 1.0 + 1e-9
+    gain = abs(lead) * float(np.prod(mags[outside]))
+    return gain, np.where(outside, 1.0 / np.conj(roots), roots)
+
+
 def to_minimum_phase(channel: ChannelResponse) -> ChannelResponse:
     """Equivalent-magnitude channel with all roots inside or on the unit circle.
 
@@ -165,53 +180,107 @@ def to_minimum_phase(channel: ChannelResponse) -> ChannelResponse:
     rescaled so its energy matches the input exactly (guards root-finding
     round-off); leading zero taps (pure delay) are dropped.
     """
-    lead, roots = _roots(channel)
-    if roots.size == 0:
-        return ChannelResponse((abs(lead),)) if lead < 0 else ChannelResponse((lead,))
-    mags = np.abs(roots)
-    outside = mags > 1.0 + 1e-9
-    scale = float(np.prod(mags[outside])) if outside.any() else 1.0
-    new_roots = np.where(outside, 1.0 / np.conj(roots), roots)
-    coeffs = np.atleast_1d(np.poly(new_roots)) * lead * scale
-    taps = np.real(coeffs)
+    gain, roots = _reflect_inside(channel)
+    taps = np.real(np.atleast_1d(np.poly(roots))) * gain
     taps = taps * np.sqrt(channel.energy() / np.dot(taps, taps))
-    if taps[0] < 0:
-        taps = -taps
     return ChannelResponse(tuple(taps))
+
+
+def _inverse(poly: np.ndarray, r_max: float) -> tuple[np.ndarray, int]:
+    """(p_0..p_{n-1}, m): impulse response of 1/P, P monic with roots inside
+    the unit circle up to modulus r_max, by an n-point FFT. m taps bring the
+    slowest pole to 1e-20 and n >= m is a power of two, so aliasing stays
+    below that; raises BudgetExceeded when n would pass 2^22."""
+    m = 2 * poly.size
+    if r_max > 0.0:
+        m = max(m, int(np.ceil(np.log(_INVERSE_TAIL) / np.log(r_max))))
+    n = 1 << (m - 1).bit_length()
+    if n > _MAX_INVERSE_LEN:
+        raise BudgetExceeded(f"inverse filter needs {n} taps, above {_MAX_INVERSE_LEN}")
+    return np.fft.irfft(1.0 / np.fft.rfft(poly, n), n), m
+
+
+def _min_phase_factor(r: np.ndarray) -> tuple[np.ndarray, float]:
+    """Monic minimum-phase g and the largest root modulus of G.
+
+    r holds the autocorrelation r_0..r_{L-1} with 1/rho already added to
+    r_0; raises RootFindingFailure unless gamma_0 (g * reversed g)
+    reproduces r within 1e-10 r_0.
+    """
+    L = r.size
+    coeffs = np.concatenate((r[:0:-1], r))
+    try:
+        roots = np.roots(coeffs)
+    except np.linalg.LinAlgError as exc:
+        raise RootFindingFailure(str(exc)) from exc
+    inside = roots[np.abs(roots) < 1.0]
+    if roots.size != 2 * (L - 1) or inside.size != L - 1:
+        raise RootFindingFailure(
+            f"{inside.size} of {roots.size} roots inside the unit circle, need {L - 1}"
+        )
+    g = np.real(np.atleast_1d(np.poly(inside)))
+    gamma0 = r[0] / float(g @ g)
+    mismatch = float(np.max(np.abs(gamma0 * np.convolve(g, g[::-1]) - coeffs)))
+    if not mismatch <= _FACTOR_REL_TOL * r[0]:
+        raise RootFindingFailure(f"spectral factor off by {mismatch / r[0]:.3e} relative")
+    return g, float(np.abs(inside).max(initial=0.0))
+
+
+def _dfe_factor(channel: ChannelResponse, rho: float) -> tuple[float, np.ndarray, int]:
+    """(gaussian_rate, c, m) of the one factorisation behind every summary
+    at rho: log(rho gamma_0) = log1p(rho r_0) - log1p(sum_{i>=1} g_i^2),
+    free of cancellation, and (c, m) = _inverse of G."""
+    taps = np.asarray(channel.taps, dtype=float)
+    nz = np.nonzero(taps)[0]
+    taps = taps[nz[0] : nz[-1] + 1]  # zero taps at either end leave |H| unchanged
+    r = np.correlate(taps, taps, mode="full")[taps.size - 1 :]
+    energy = float(r[0])
+    r[0] += 1.0 / rho
+    g, r_max = _min_phase_factor(r)
+    gaussian_rate = float(np.log1p(rho * energy) - np.log1p(g[1:] @ g[1:]))
+    c, m = _inverse(g, r_max)
+    return gaussian_rate, c, m
+
+
+def _zf_le_gain(channel: ChannelResponse) -> float:
+    """[<1/|H|^2>]^-1 = K^2 / sum d_k^2, d the impulse response of 1/H_min.
+
+    0 on a spectral null (a root within 1e-9 of the unit circle), and 0
+    when 1/H_min would need more than 2^22 taps: that near-null gain is
+    below the inverse's resolution, indistinguishable from the null."""
+    gain, roots = _reflect_inside(channel)
+    mags = np.abs(roots)
+    if roots.size and np.min(np.abs(mags - 1.0)) <= 1e-9:
+        return 0.0
+    try:
+        d, _ = _inverse(np.real(np.atleast_1d(np.poly(roots))), float(mags.max(initial=0.0)))
+    except BudgetExceeded:
+        return 0.0
+    return gain * gain / float(d @ d)
 
 
 def spectral_summary(channel: ChannelResponse, rho: float) -> SpectralSummary:
     """Equalizer SNRs and gain factors at input SNR rho = P_x/N_0.
 
-    snr_le   = [<1/(1 + rho |H|^2)>]^-1          (biased MMSE-LE)
-    snr_dfe  = exp <log(1 + rho |H|^2)>          (biased MMSE-DFE)
-    g_zf_dfe = exp <log |H|^2>
-    g_zf_le  = [<1/|H|^2>]^-1, 0 for channels with a spectral null
+    snr_dfe  = exp <log(1 + rho |H|^2)>                 (biased MMSE-DFE)
+    snr_le   = [<1/(1 + rho |H|^2)>]^-1 = snr_dfe / sum c_k^2   (MMSE-LE)
+    g_zf_dfe = exp <log |H|^2>                          (Jensen)
+    g_zf_le  = [<1/|H|^2>]^-1, 0 on a null              (_zf_le_gain)
+
+    all in closed form (module docstring). Raises RootFindingFailure when
+    G fails its check and BudgetExceeded when 1/G needs over 2^22 taps.
     """
     if rho <= 0.0:
         raise DomainError("rho must be positive")
-    power = lambda th: transfer_power(channel, th)
-    gaussian_rate = _mean_over_theta(lambda th: np.log1p(rho * power(th)))
+    gaussian_rate, c, _ = _dfe_factor(channel, rho)
     snr_dfe = float(np.exp(gaussian_rate))
-    snr_le = 1.0 / _mean_over_theta(lambda th: 1.0 / (1.0 + rho * power(th)))
     g_zf_dfe = float(np.exp(log_mean_spectrum(channel)))
-    _, roots = _roots(channel)
-    if roots.size and np.min(np.abs(np.abs(roots) - 1.0)) <= 1e-9:
-        # spectral null: <1/|H|^2> diverges
-        g_zf_le = 0.0
-    else:
-        try:
-            g_zf_le = 1.0 / _mean_over_theta(lambda th: 1.0 / power(th))
-        except NonConvergent:
-            # near-null spectrum; the mean is beyond the grid budget and the
-            # gain is indistinguishable from the null case
-            g_zf_le = 0.0
     return SpectralSummary(
         rho=rho,
-        snr_le=snr_le,
+        snr_le=snr_dfe / float(c @ c),
         snr_dfe=snr_dfe,
         snr_zf_dfe=rho * g_zf_dfe,
         g_zf_dfe=g_zf_dfe,
-        g_zf_le=g_zf_le,
+        g_zf_le=_zf_le_gain(channel),
         gaussian_rate=gaussian_rate,
     )

@@ -22,10 +22,6 @@ class BudgetExceeded(IsirateError):
     its size budget."""
 
 
-class MissingMoments(IsirateError, ValueError):
-    """A tap-domain summary lacks the third/fourth-power sums."""
-
-
 class PartitionInvalid(IsirateError, ValueError):
     """A genie partition does not cover the tap indices exactly once."""
 

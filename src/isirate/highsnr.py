@@ -23,8 +23,8 @@ from .channel import (
     ChannelResponse,
     _mean_over_theta,
     _roots,
+    _zf_le_gain,
     log_mean_spectrum,
-    spectral_summary,
     to_minimum_phase,
     transfer_power,
 )
@@ -259,10 +259,11 @@ def snr_dfe_upper_bound(channel: ChannelResponse, rho: float) -> float:
         raise DomainError("snr_dfe_upper_bound expects a unit-energy channel")
     if 2.0 * math.sqrt(1.0 / rho) >= 1.0:
         raise SnrTooLow("need 2 sqrt(N_0/P_x) < 1, i.e. rho > 4")
-    ss = spectral_summary(channel, rho)
-    g = ss.g_zf_dfe
-    if ss.g_zf_le > 0.0:
-        return rho * g + g / ss.g_zf_le
+    # both gains are free of rho: Jensen, and the inverse of min-phase H
+    g = math.exp(log_mean_spectrum(channel))
+    g_le = _zf_le_gain(channel)
+    if g_le > 0.0:
+        return rho * g + g / g_le
     # null-bearing spectrum: Cauchy-Schwarz on the low-|H| set
     c1 = math.sqrt(log_sq_mean_spectrum(channel))
     threshold = math.sqrt(1.0 / rho)

@@ -153,7 +153,8 @@ def mmse(x: InputDistribution, gamma: float) -> float:
     second = mixture_conditional_second_moment(
         x.normalized_atoms, np.asarray(x.probs), gamma
     )
-    return 1.0 - second
+    # 1 - second rounds to just below 0 once the true mmse is ~1e-15
+    return min(max(1.0 - second, 0.0), 1.0)
 
 
 def discrete_mmse(values, probs, gamma: float) -> float:

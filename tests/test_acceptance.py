@@ -21,8 +21,8 @@ from isirate.bounds import (
     slc_gap_series,
     two_tap_gap_leading,
 )
-from isirate.channel import ChannelResponse, channel_b, jeong, jeong_spaced, spectral_summary, to_minimum_phase
-from isirate.equalizer import closed_form_summary, design_mmse_dfe, summarize, two_tap_residual
+from isirate.channel import ChannelResponse, channel_b, jeong, jeong_spaced, to_minimum_phase
+from isirate.equalizer import design_mmse_dfe, summarize, two_tap_residual
 from isirate.highsnr import delta_min_sq, error_alphabet, event_distance_sq, exponent_gap
 from isirate.rate_sim import build_trellis, estimate_rate, forward_log_likelihood
 from isirate.scalar import (
@@ -37,7 +37,7 @@ from isirate.scalar import (
     q_tail,
 )
 
-from conftest import random_unit_channel
+from conftest import quadrature_summary, random_unit_channel
 
 LOG2 = math.log(2.0)
 
@@ -47,7 +47,12 @@ def two_tap_channel(q):
 
 
 def test_criterion_01_appendix_identities():
-    """Tap-domain residual summaries match the closed forms on random channels."""
+    """Tap-domain residual summaries match the closed forms on random channels.
+
+    The closed forms run through the equalizer SNRs, taken here by theta
+    quadrature (conftest.quadrature_summary), a route that shares no code
+    with the spectral factorisation behind the design.
+    """
     t0 = time.time()
     rng = np.random.default_rng(101)
     x = bpsk()
@@ -57,16 +62,17 @@ def test_criterion_01_appendix_identities():
         for rho in (0.1, 1.0, 10.0):
             d = design_mmse_dfe(ch, x, rho)
             tap = summarize(d, x)
-            cf = closed_form_summary(ch, rho)
-            for field in ("beta1_sq", "eps0", "eps1", "S"):
-                a, b = getattr(tap, field), getattr(cf, field)
+            rate, beta1_sq, s = quadrature_summary(ch, rho)
+            oracle = {"beta1_sq": beta1_sq, "eps0": (1.0 + beta1_sq) * s, "eps1": beta1_sq * s, "S": s}
+            for field, b in oracle.items():
+                a = getattr(tap, field)
                 # relative check with an absolute floor for the exact-zero
-                # beta1_sq of memoryless channels (closed form returns
-                # quadrature noise ~1e-14 there)
+                # beta1_sq of memoryless channels (the quadrature returns
+                # noise ~1e-14 there)
                 dev = abs(a - b) / max(abs(b), 1e-6)
                 worst = max(worst, dev)
                 assert dev <= 1e-6, (field, ch.taps, rho)
-            gap = abs(d.snr_unbiased / (spectral_summary(ch, rho).snr_dfe - 1.0) - 1.0)
+            gap = abs(d.snr_unbiased / math.expm1(rate) - 1.0)
             worst = max(worst, gap)
             assert gap <= 1e-6
     elapsed = time.time() - t0

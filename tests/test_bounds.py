@@ -29,9 +29,10 @@ from isirate.bounds import (
     slc_gap_series,
     two_tap_gap_leading,
 )
+import isirate.channel
 from isirate.channel import ChannelResponse, channel_b, jeong, spectral_summary
-from isirate.equalizer import closed_form_summary, design_mmse_dfe, summarize
-from isirate.errors import BudgetExceeded, DomainError, MissingMoments, NormalizationViolated, PartitionInvalid
+from isirate.equalizer import design_mmse_dfe, summarize
+from isirate.errors import BudgetExceeded, DomainError, NormalizationViolated, PartitionInvalid
 from isirate.scalar import (
     bpsk,
     discrete_mmse,
@@ -41,9 +42,15 @@ from isirate.scalar import (
     mutual_info,
 )
 
+from conftest import quadrature_summary
+
 
 def two_tap_channel(q):
     return ChannelResponse((math.sqrt(1 - q * q), q))
+
+
+def design_summary(ch, x, rho):
+    return summarize(design_mmse_dfe(ch, x, rho), x)
 
 
 class TestSingleLetterProxies:
@@ -268,11 +275,6 @@ class TestGapSeries:
         assert gap < 0.0
         assert abs(series - gap) <= 0.2 * abs(gap)
 
-    def test_missing_moments(self):
-        cf = closed_form_summary(channel_b(), 1.0)
-        with pytest.raises(MissingMoments):
-            slc_gap_series(cf, bpsk())
-
 
 class TestTwoTapLeading:
     def test_zero_skew(self):
@@ -369,20 +371,20 @@ class TestGenieBound:
 
 class TestIeBounds:
     def test_simple_is_corner_point(self):
-        cf = closed_form_summary(jeong(), 1.0)
+        cf = design_summary(jeong(), bpsk(), 1.0)
         val = ie_bound(jeong(), bpsk(), 1.0, cf.S, cf.S)
         assert val == pytest.approx(ie_simple(jeong(), bpsk(), 1.0), abs=1e-12)
 
     def test_gaussian_equality(self):
         # with Gaussian inputs the simple bound meets the Gaussian rate
-        cf = closed_form_summary(jeong(), 1.0)
-        ss = spectral_summary(jeong(), 1.0)
+        cf = design_summary(jeong(), bpsk(), 1.0)
+        rate, _, _ = quadrature_summary(jeong(), 1.0)
         lhs = 0.5 * math.log1p(cf.beta0_sq * cf.S) - 0.5 * math.log1p(cf.beta1_sq * cf.S)
-        assert lhs == pytest.approx(0.5 * ss.gaussian_rate, abs=1e-10)
+        assert lhs == pytest.approx(0.5 * rate, abs=1e-12)
 
     def test_opt_dominates_feasible_points(self, rng):
         rho = 10 ** (0.9)
-        cf = closed_form_summary(jeong(), rho)
+        cf = design_summary(jeong(), bpsk(), rho)
         opt, g1, g2 = ie_opt(jeong(), bpsk(), rho)
         assert 0.0 <= g1 <= g2 <= cf.S * (1 + 1e-12)
         for _ in range(100):
@@ -407,12 +409,41 @@ class TestIeBounds:
             opt, g1, g2 = ie_opt(jeong(), x, 0.1)
         assert opt >= ie_simple(jeong(), x, 0.1)
         assert 0.0 <= g1 <= g2
+        # the simple point is negative here; the trivial point wins
+        assert (opt, g1, g2) == (0.0, 0.0, 0.0)
+
+    def test_opt_not_below_trivial_point(self):
+        # ie_bound(0, 0) = 0, and an interior point does better still; the
+        # simple point (S, S) is -0.0689 nats here
+        x = make_skewed_binary(0.002)
+        opt, g1, g2 = ie_opt(channel_b(), x, 1.0)
+        assert ie_simple(channel_b(), x, 1.0) < 0.0
+        assert opt >= ie_bound(channel_b(), x, 1.0, 0.0216, 0.0437) > 0.0
+        assert opt == pytest.approx(ie_bound(channel_b(), x, 1.0, g1, g2), abs=1e-15)
+
+    @pytest.mark.parametrize("ch,g1,g2", [(channel_b(), 0.17, 0.73), (jeong(), 0.168, 0.438)], ids=["channel_b", "jeong"])
+    def test_opt_not_stopped_by_mmse_round_off(self, ch, g1, g2):
+        # at 15 dB mmse(S) and b0 mmse(b0 S) of trinary(0.01) are ~1e-15, so
+        # comparing the two alone cannot show (S, S) to be the optimum
+        x = make_trinary(0.01)
+        rho = 10**1.5
+        opt, _, _ = ie_opt(ch, x, rho)
+        assert opt >= ie_bound(ch, x, rho, g1, g2) > 0.08
+
 
     def test_opt_at_least_simple(self):
         for snr_db in (-6.0, 0.0, 6.0, 12.0):
             rho = 10 ** (snr_db / 10)
             opt, _, _ = ie_opt(jeong(), bpsk(), rho)
             assert opt >= ie_simple(jeong(), bpsk(), rho) - 1e-12
+        # and at least the trivial point's 0, for skewed inputs too
+        for ch in (channel_b(), jeong(), two_tap_channel(0.6)):
+            for x in (bpsk(), make_skewed_binary(0.002), make_trinary(0.01)):
+                for snr_db in (0.0, 15.0, 30.0):
+                    rho = 10 ** (snr_db / 10)
+                    opt, g1, g2 = ie_opt(ch, x, rho)
+                    assert opt >= max(ie_simple(ch, x, rho), 0.0), (ch.taps, snr_db)
+                    assert 0.0 <= g1 <= g2, (ch.taps, snr_db)
 
     def test_conj_at_least_simple(self):
         # I_x <= Gaussian rate pointwise makes the conjectured form tighter
@@ -421,7 +452,7 @@ class TestIeBounds:
         assert val_c >= val_s - 1e-12
 
     def test_feasibility_validation(self):
-        cf = closed_form_summary(jeong(), 1.0)
+        cf = design_summary(jeong(), bpsk(), 1.0)
         with pytest.raises(DomainError):
             ie_bound(jeong(), bpsk(), 1.0, cf.S, cf.S / 2)
 
@@ -429,7 +460,7 @@ class TestIeBounds:
         # (ie_simple - Gaussian-input value)/rho -> 0
         rel = []
         for rho in (1e-2, 1e-3):
-            cf = closed_form_summary(jeong(), rho)
+            cf = design_summary(jeong(), bpsk(), rho)
             gauss = 0.5 * math.log1p(cf.beta0_sq * cf.S) - 0.5 * math.log1p(
                 cf.beta1_sq * cf.S
             )
@@ -477,6 +508,31 @@ class TestBoundReport:
         for val in (rep.i_sl, rep.ie_simple, rep.ie_opt, rep.ie_conj):
             assert val == pytest.approx(ref, rel=1e-9)
             assert val <= x.entropy
+
+
+class TestOneFactorisation:
+    """bound_report reads every spectral quantity from one factorisation."""
+
+    @pytest.fixture
+    def factor_calls(self, monkeypatch):
+        calls = []
+        factor = isirate.channel._min_phase_factor
+        monkeypatch.setattr(
+            isirate.channel, "_min_phase_factor", lambda r: calls.append(r) or factor(r)
+        )
+        return calls
+
+    @pytest.mark.parametrize("method", ["none", "exact", "mc"])
+    def test_one_per_point(self, method, factor_calls):
+        rep = bound_report(channel_b(), bpsk(), 0.1, i_mmse_method=method, n_samples=10_000)
+        assert rep.i_mmse_method == (None if method == "none" else method)
+        assert len(factor_calls) == 1
+
+    def test_none_with_a_design(self, factor_calls):
+        d = design_mmse_dfe(channel_b(), bpsk(), 0.1)
+        factor_calls.clear()
+        bound_report(channel_b(), bpsk(), 0.1, i_mmse_method="exact", design=d)
+        assert factor_calls == []
 
 
 class TestAsymmetricDensityRegression:

@@ -7,6 +7,7 @@ import pytest
 
 from isirate.channel import (
     ChannelResponse,
+    _mean_over_theta,
     channel_b,
     jeong,
     jeong_spaced,
@@ -18,6 +19,20 @@ from isirate.channel import (
 from isirate.errors import DomainError
 
 from conftest import random_unit_channel
+
+ORACLE_DB = (-40.0, -25.0, -10.0, 0.0, 15.0, 30.0, 45.0)
+NULL = ChannelResponse((math.sqrt(0.5), math.sqrt(0.5)))
+
+
+def _oracle_channels() -> dict[str, ChannelResponse]:
+    rng = np.random.default_rng(5)
+    named = {"channel_b": channel_b(), "jeong": jeong(), "jeong_spaced": jeong_spaced()}
+    named.update(flat=ChannelResponse((1.0,)), null=NULL)
+    named.update((f"random{i}", random_unit_channel(rng)) for i in range(4))
+    return named
+
+
+ORACLE_CHANNELS = _oracle_channels()
 
 
 def quadrature_log_mean(ch: ChannelResponse, n: int = 1 << 20) -> float:
@@ -105,6 +120,41 @@ class TestSpectralSummary:
     def test_rejects_bad_rho(self):
         with pytest.raises(DomainError):
             spectral_summary(channel_b(), 0.0)
+
+
+class TestClosedFormsAgainstQuadrature:
+    """The spectral factorisation against theta quadrature, an independent route."""
+
+    @pytest.mark.parametrize("ch", ORACLE_CHANNELS.values(), ids=ORACLE_CHANNELS.keys())
+    def test_snr_summaries(self, ch):
+        power = lambda th: transfer_power(ch, th)
+        for db in ORACLE_DB:
+            rho = 10 ** (db / 10)
+            ss = spectral_summary(ch, rho)
+            rate = _mean_over_theta(lambda th: np.log1p(rho * power(th)))
+            le = 1.0 / _mean_over_theta(lambda th: 1.0 / (1.0 + rho * power(th)))
+            assert ss.gaussian_rate == pytest.approx(rate, rel=1e-10), db
+            assert ss.snr_dfe == pytest.approx(math.exp(rate), rel=1e-10), db
+            assert ss.snr_le == pytest.approx(le, rel=1e-10), db
+
+    @pytest.mark.parametrize("ch", ORACLE_CHANNELS.values(), ids=ORACLE_CHANNELS.keys())
+    def test_zf_le_gain(self, ch):
+        ss = spectral_summary(ch, 1.0)
+        roots = np.roots(ch.taps) if ch.length > 1 else np.zeros(0)
+        if roots.size and np.min(np.abs(np.abs(roots) - 1.0)) <= 1e-9:
+            assert ss.g_zf_le == 0.0  # <1/|H|^2> diverges on a null
+        else:
+            oracle = 1.0 / _mean_over_theta(lambda th: 1.0 / transfer_power(ch, th))
+            assert ss.g_zf_le == pytest.approx(oracle, rel=1e-10)
+
+    @pytest.mark.parametrize("root", [1.0 - 1e-7, 1.0 + 1e-7])
+    def test_near_null_gain_is_zero(self, root):
+        # 1/H_min would need ~5e8 taps, past the 2^22 budget: the gain is
+        # reported as 0, like a null, and the SNRs are unaffected
+        ch = ChannelResponse((1.0, -root)).normalized()
+        ss = spectral_summary(ch, 10.0)
+        assert ss.g_zf_le == 0.0
+        assert ss.snr_le > 1.0
 
 
 class TestChannelResponse:

@@ -12,20 +12,22 @@ from isirate.channel import (
     ChannelResponse,
     channel_b,
     jeong,
+    _mean_over_theta,
     jeong_spaced,
-    spectral_summary,
+    transfer_power,
 )
+import isirate.bounds
+from isirate.bounds import bound_report
 from isirate.equalizer import (
     _truncate,
-    closed_form_summary,
     design_mmse_dfe,
     summarize,
     two_tap_residual,
 )
 from isirate.errors import BudgetExceeded, DomainError, RootFindingFailure
-from isirate.scalar import bpsk
+from isirate.scalar import bpsk, make_skewed_binary
 
-from conftest import random_unit_channel
+from conftest import quadrature_summary, random_unit_channel
 
 NULL = ChannelResponse((math.sqrt(0.5), math.sqrt(0.5)))
 
@@ -78,10 +80,10 @@ class TestTrivialChannel:
         assert d.snr_unbiased == pytest.approx(2.5, rel=1e-12)
 
     def test_closed_form_flat(self):
-        cf = closed_form_summary(ChannelResponse((1.0,)), 2.5)
-        assert cf.beta1_sq == pytest.approx(0.0, abs=1e-10)
-        assert cf.S == pytest.approx(2.5, rel=1e-9)
-        assert cf.eps0 == pytest.approx(2.5, rel=1e-9)
+        summ = summarize(design_mmse_dfe(ChannelResponse((1.0,)), bpsk(), 2.5), bpsk())
+        assert summ.beta1_sq == 0.0
+        assert summ.S == pytest.approx(2.5, rel=1e-12)
+        assert summ.eps0 == pytest.approx(2.5, rel=1e-12)
 
 
 class TestTwoTapClosedForm:
@@ -133,60 +135,59 @@ class TestTruncationRule:
 
 
 class TestAppendixIdentities:
+    """Tap-domain summaries against the equalizer-SNR identities, with the
+    SNRs taken by theta quadrature (conftest.quadrature_summary)."""
+
     def test_channel_b(self):
         x = bpsk()
-        d = design_mmse_dfe(channel_b(), x, 1.0)
-        tap = summarize(d, x)
-        cf = closed_form_summary(channel_b(), 1.0)
-        for field in ("beta1_sq", "eps0", "eps1", "S"):
-            assert getattr(tap, field) == pytest.approx(
-                getattr(cf, field), rel=1e-6
-            ), field
+        tap = summarize(design_mmse_dfe(channel_b(), x, 1.0), x)
+        _, beta1_sq, s = quadrature_summary(channel_b(), 1.0)
+        assert tap.beta1_sq == pytest.approx(beta1_sq, rel=1e-9)
+        assert tap.S == pytest.approx(s, rel=1e-9)
+        assert tap.eps0 == pytest.approx((1.0 + beta1_sq) * s, rel=1e-9)
+        assert tap.eps1 == pytest.approx(beta1_sq * s, rel=1e-9)
 
     def test_unbiased_snr_identity(self):
         d = design_mmse_dfe(channel_b(), bpsk(), 1.0)
-        ss = spectral_summary(channel_b(), 1.0)
-        assert d.snr_unbiased == pytest.approx(ss.snr_dfe - 1.0, rel=1e-6)
+        rate, _, _ = quadrature_summary(channel_b(), 1.0)
+        assert d.snr_unbiased == pytest.approx(math.expm1(rate), rel=1e-12)
+        assert d.gaussian_rate == pytest.approx(rate, rel=1e-12)
 
     def test_gaussian_equality_chain(self, rng):
         # (1/2)log(1+b0 S) - (1/2)log(1+b1 S) equals half the Gaussian rate
         for _ in range(5):
             ch = random_unit_channel(rng)
-            cf = closed_form_summary(ch, 1.7)
-            ss = spectral_summary(ch, 1.7)
-            lhs = 0.5 * math.log1p(cf.beta0_sq * cf.S) - 0.5 * math.log1p(
-                cf.beta1_sq * cf.S
+            tap = summarize(design_mmse_dfe(ch, bpsk(), 1.7), bpsk())
+            rate, _, _ = quadrature_summary(ch, 1.7)
+            lhs = 0.5 * math.log1p(tap.beta0_sq * tap.S) - 0.5 * math.log1p(
+                tap.beta1_sq * tap.S
             )
-            assert lhs == pytest.approx(0.5 * ss.gaussian_rate, abs=1e-8)
+            assert lhs == pytest.approx(0.5 * rate, abs=1e-12)
 
     def test_random_channels(self, rng):
         x = bpsk()
         for _ in range(8):
             ch = random_unit_channel(rng)
             for rho in (0.1, 10.0):
-                d = design_mmse_dfe(ch, x, rho)
-                tap = summarize(d, x)
-                cf = closed_form_summary(ch, rho)
-                for field in ("beta1_sq", "eps0", "eps1", "S"):
-                    a, b = getattr(tap, field), getattr(cf, field)
-                    assert abs(a - b) <= 1e-6 * max(abs(b), 1e-8), (field, ch.taps)
+                tap = summarize(design_mmse_dfe(ch, x, rho), x)
+                _, beta1_sq, s = quadrature_summary(ch, rho)
+                assert abs(tap.beta1_sq - beta1_sq) <= 1e-9 * max(beta1_sq, 1e-6), ch.taps
+                assert tap.S == pytest.approx(s, rel=1e-9), ch.taps
 
     def test_low_snr_slopes(self):
         # S -> <|H|^2> rho, while eps0 -> <|H|^2> rho (1 + beta1_sq(0)) with
         # beta1_sq(0) = var(|H|^2)/(2 <|H|^2>^2): the second-order parts of
         # the two SNRs survive in the (snr_dfe-1)/(snr_le-1) ratio
-        from isirate.channel import transfer_power
-
         rho = 1e-5
         theta = -np.pi + (np.arange(1 << 16) + 0.5) * (2 * np.pi / (1 << 16))
         power = transfer_power(channel_b(), theta)
         m1 = float(np.mean(power))
         var = float(np.mean(power**2)) - m1 * m1
         beta1_0 = var / (2 * m1 * m1)
-        cf = closed_form_summary(channel_b(), rho)
-        assert cf.S == pytest.approx(m1 * rho, rel=1e-3)
-        assert cf.beta1_sq == pytest.approx(beta1_0, rel=1e-3)
-        assert cf.eps0 == pytest.approx(m1 * rho * (1.0 + beta1_0), rel=1e-3)
+        tap = summarize(design_mmse_dfe(channel_b(), bpsk(), rho), bpsk())
+        assert tap.S == pytest.approx(m1 * rho, rel=1e-3)
+        assert tap.beta1_sq == pytest.approx(beta1_0, rel=1e-3)
+        assert tap.eps0 == pytest.approx(m1 * rho * (1.0 + beta1_0), rel=1e-3)
 
 
 class TestDesignValidation:
@@ -215,6 +216,21 @@ class TestDenseOracle:
             assert d.noise_var == pytest.approx(em2, rel=1e-9), db
             assert d.residual.size == _truncate(alpha).size, db
 
+    @pytest.mark.parametrize("ch", [channel_b(), jeong(), jeong_spaced()], ids=["channel_b", "jeong", "jeong_spaced"])
+    def test_bound_report_beta1_sq_at_minus_40_db(self, ch, monkeypatch):
+        # the summary every IE bound of bound_report reads; a route through
+        # snr_dfe/snr_le - 1 loses ~1e-8 of beta1_sq to cancellation here
+        seen = []
+        core = isirate.bounds._ie_opt
+        monkeypatch.setattr(isirate.bounds, "_ie_opt", lambda cf, x: seen.append(cf) or core(cf, x))
+        x = make_skewed_binary(0.002)
+        rho = 1e-4
+        bound_report(ch, x, rho, i_mmse_method="none")
+        d = design_mmse_dfe(ch, x, rho)
+        alpha, em2 = _solve_ff(np.asarray(ch.taps), x.power, x.power / rho, 2 * d.residual.size + 64)
+        assert seen[0].beta1_sq == pytest.approx(float(alpha @ alpha), rel=1e-10)
+        assert seen[0].S == pytest.approx(x.power / em2, rel=1e-10)
+
 
 class TestHighSnr:
     @pytest.mark.parametrize("ch", [jeong(), jeong_spaced(), NULL], ids=["jeong", "jeong_spaced", "null"])
@@ -223,8 +239,8 @@ class TestHighSnr:
         start = time.perf_counter()
         d = design_mmse_dfe(ch, bpsk(), rho)
         assert time.perf_counter() - start < 0.1
-        target = math.expm1(spectral_summary(ch, rho).gaussian_rate)
-        assert abs(d.snr_unbiased - target) <= 1e-9 * target
+        rate = _mean_over_theta(lambda th: np.log1p(rho * transfer_power(ch, th)), rel_tol=1e-13)
+        assert abs(d.snr_unbiased - math.expm1(rate)) <= 1e-9 * math.expm1(rate)
 
     def test_null_channel_two_tap(self):
         rho = 10**4.5
@@ -254,19 +270,24 @@ class TestFactorGuard:
 
 class TestClosedFormFlatChannel:
     def test_beta1_sq_nonnegative(self, rng):
+        # the truncated taps and the untruncated noise variance still meet
+        # the Gaussian equality log(1 + S/(1 + b1 S)) = <log(1 + rho|H|^2)>
         channels = [f() for f in CHANNEL_PRESETS.values()]
         channels += [ChannelResponse((1.0,)), NULL]
         channels += [random_unit_channel(rng) for _ in range(8)]
         for ch in channels:
             for db in np.arange(-40.0, 46.0, 5.0):
-                cf = closed_form_summary(ch, 10 ** (db / 10))
-                assert cf.beta1_sq >= 0.0, (ch.taps, db)
-                assert cf.eps0 == (1.0 + cf.beta1_sq) * cf.S
-                assert cf.eps1 == cf.beta1_sq * cf.S
+                d = design_mmse_dfe(ch, bpsk(), 10 ** (db / 10))
+                tap = summarize(d, bpsk())
+                assert tap.beta1_sq >= 0.0, (ch.taps, db)
+                assert tap.eps0 == (1.0 + tap.beta1_sq) * tap.S
+                assert tap.eps1 == tap.beta1_sq * tap.S
+                rate = math.log1p(tap.S / (1.0 + tap.beta1_sq * tap.S))
+                assert rate == pytest.approx(d.gaussian_rate, rel=1e-9), (ch.taps, db)
 
     @pytest.mark.parametrize("db", [-40.0, 30.0, 45.0])
     def test_flat_summary(self, db):
         rho = 10 ** (db / 10)
-        cf = closed_form_summary(ChannelResponse((1.0,)), rho)
-        assert cf.beta1_sq == 0.0
-        assert cf.S == pytest.approx(rho, rel=1e-9)
+        tap = summarize(design_mmse_dfe(ChannelResponse((1.0,)), bpsk(), rho), bpsk())
+        assert tap.beta1_sq == 0.0
+        assert tap.S == pytest.approx(rho, rel=1e-12)

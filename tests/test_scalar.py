@@ -125,6 +125,14 @@ class TestMmse:
         for gamma in (0.1, 1.0, 4.0, 10.0, 25.0, 50.0):
             assert mmse(bpsk(), gamma) == pytest.approx(mmse_binary(gamma), abs=1e-8)
 
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_within_unit_interval(self, name):
+        # 1 - E[(E[x|y])^2] cancels to round-off once mmse is ~1e-15, which
+        # every preset reaches below gamma = 1e5
+        x = PRESETS[name]
+        for gamma in np.geomspace(1e-3, 1e5, 81):
+            assert 0.0 <= mmse(x, float(gamma)) <= 1.0, gamma
+
     def test_gaussian_upper_bound(self):
         for x in PRESETS.values():
             for gamma in (0.5, 2.0, 20.0):
