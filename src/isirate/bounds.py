@@ -122,22 +122,20 @@ def i_mmse_exact(
     design: DfeDesign,
     x: InputDistribution,
     budget: int = _DEFAULT_BUDGET,
-    prune_mass: float = _PRUNE_MASS,
 ) -> ImmseExact:
     """I(x_0; x_0 + sum alpha_k x_k + m) by exact mixture entropies.
 
     Both terms of the decomposition I = h(x_0 + mu_1 + m) - h(mu_1 + m)
     are differential entropies of enumerated Gaussian mixtures over the
-    truncated residual taps.
+    truncated residual taps, each pruned of at most half of _PRUNE_MASS.
     """
     atoms = np.asarray(x.atoms)
     probs = np.asarray(x.probs)
     sigma = math.sqrt(design.noise_var)
     taps1 = design.residual
     taps0 = np.concatenate(([1.0], taps1))
-    # each of the two mixtures gets half the mass budget
-    m0, w0, drop0 = _enumerate_mixture(taps0, atoms, probs, budget, 0.5 * prune_mass)
-    m1, w1, drop1 = _enumerate_mixture(taps1, atoms, probs, budget, 0.5 * prune_mass)
+    m0, w0, drop0 = _enumerate_mixture(taps0, atoms, probs, budget, 0.5 * _PRUNE_MASS)
+    m1, w1, drop1 = _enumerate_mixture(taps1, atoms, probs, budget, 0.5 * _PRUNE_MASS)
     h0, e0 = mixture_entropy(m0, w0, sigma)
     h1, e1 = mixture_entropy(m1, w1, sigma)
     pruned = drop0 + drop1
@@ -271,14 +269,13 @@ def i_mmse_mc(
     x: InputDistribution,
     n_samples: int,
     seed: int,
-    n_streams: int = _MC_STREAMS,
 ) -> RateEstimate:
     """Monte-Carlo I_MMSE: sample interference patterns, average log densities.
 
     Per sample, I is estimated by log p1(mu_1 + m) - log p0(x_0 + mu_1 + m)
     with a shared pattern and noise draw in both terms; the streams are
-    independent and the result is deterministic for a given (seed, stream
-    count).
+    independent (_MC_STREAMS of them) and the result is deterministic for a
+    given seed.
     """
     if n_samples < 10**4:
         raise DomainError("n_samples must be at least 1e4")
@@ -291,8 +288,8 @@ def i_mmse_mc(
     if audit > 1e-2:
         raise NonConvergent(f"density table failed its self-check ({audit:.2e})")
     cum = np.cumsum(probs)
-    per = n_samples // n_streams
-    counts = [per + (1 if s < n_samples - per * n_streams else 0) for s in range(n_streams)]
+    per = n_samples // _MC_STREAMS
+    counts = [per + (1 if s < n_samples - per * _MC_STREAMS else 0) for s in range(_MC_STREAMS)]
     total = 0.0
     total_sq = 0.0
     for s, m in enumerate(counts):
@@ -310,8 +307,8 @@ def i_mmse_mc(
         value=mean,
         std_error=math.sqrt(max(var, 0.0) / n_samples),
         n_samples=n_samples,
-        n_seeds=n_streams,
-        seeds=tuple((seed, s) for s in range(n_streams)),
+        n_seeds=_MC_STREAMS,
+        seeds=tuple((seed, s) for s in range(_MC_STREAMS)),
         notes={"density_audit_err": audit},
     )
 
@@ -487,10 +484,10 @@ def ie_opt(
 
     Unless (S, S) is a KKT point of the bound, gamma2* equalizes mmse(g)
     and the Gaussian bound b1^2/(1 + b1^2 g), and gamma1* <= gamma2*
-    equalizes b0^2 mmse(b0^2 g) and mmse(g). Falls back to a separable
-    log-grid search when a bracket holds no sign change. The result is
-    never below the simple point (S, S) nor the trivial point (0, 0),
-    whose bound is 0; the latter is returned as (0.0, 0.0, 0.0).
+    equalizes b0^2 mmse(b0^2 g) and mmse(g). When a bracket holds no sign
+    change it falls back to the best gamma1 <= gamma2 on a log grid. The
+    result is never below the simple point (S, S) nor the trivial point
+    (0, 0), whose bound is 0; the latter is returned as (0.0, 0.0, 0.0).
     """
     return _ie_opt(_design_summary(channel, x, rho), x)
 
@@ -526,12 +523,11 @@ def _ie_opt(cf: DfeSummary, x: InputDistribution) -> tuple[float, float, float]:
         term2 = np.array(
             [mutual_info(x, g) - 0.5 * math.log1p(b1 * g) for g in grid]
         )
-        i1 = int(np.argmax(term1))
-        i2 = int(np.argmax(term2))
-        if grid[i1] > grid[i2]:
-            i1 = i2
+        # the joint optimum over g1 <= g2: the best g1 up to each g2
+        i2 = int(np.argmax(np.maximum.accumulate(term1) + term2))
+        i1 = int(np.argmax(term1[: i2 + 1]))
         g1, g2 = float(grid[i1]), float(grid[i2])
-        value = term1[i1] + term2[i2]
+        value = float(term1[i1] + term2[i2])
     return (value, g1, g2) if value >= best[0] else best
 
 
@@ -568,12 +564,11 @@ def bound_report(
     seed: int = 0,
     include_gap_series: bool = False,
     design: DfeDesign | None = None,
-    budget: int = _DEFAULT_BUDGET,
 ) -> BoundReport:
     """Evaluate every bound at one SNR point.
 
-    ``i_mmse_method``: "exact", "mc", "auto" (exact if the mixture fits the
-    component budget, else Monte Carlo) or "none". Every bound reads the
+    ``i_mmse_method``: "exact", "mc", "auto" (exact if the mixture fits
+    2^18 components, else Monte Carlo) or "none". Every bound reads the
     one spectral factorisation behind ``design``, which is made here
     unless the caller passes it.
     """
@@ -596,11 +591,12 @@ def bound_report(
         i_mmse_err_bound=None,
         gap_series=slc_gap_series(cf, x) if include_gap_series else None,
     )
+    budget = _DEFAULT_BUDGET
     if i_mmse_method == "auto":
         # dispatch on the pruned component count at a sweep-friendly ceiling;
         # an explicit "exact" request still honors the full budget
         i_mmse_method = "exact"
-        budget = min(budget, _AUTO_EXACT_BUDGET)
+        budget = _AUTO_EXACT_BUDGET
     if i_mmse_method == "exact":
         try:
             res = i_mmse_exact(design, x, budget=budget)

@@ -19,10 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, DomainError, NonConvergent, RootFindingFailure
+from .errors import BudgetExceeded, DomainError, RootFindingFailure
 
-_THETA_N0 = 512
-_THETA_NMAX = 2**21
 # Largest inverse-filter tap dropped, and the longest impulse response
 # computed (1/G reaches it near 100 dB on a channel with a spectral null).
 _INVERSE_TAIL = 1e-20
@@ -111,28 +109,6 @@ def transfer_power(channel: ChannelResponse, theta) -> np.ndarray | float:
     im = np.sin(phase) @ h
     out = re * re + im * im
     return float(out) if np.isscalar(theta) or th.ndim == 0 else out
-
-
-def _mean_over_theta(
-    f, rel_tol: float = 1e-10, n0: int = _THETA_N0, n_max: int = _THETA_NMAX
-) -> float:
-    """Mean of f(theta) over [-pi, pi] by midpoint-rule grid doubling, for
-    integrands with no closed form, and as an oracle for those that have one."""
-    prev = None
-    n = n0
-    while n <= n_max:
-        theta = -np.pi + (np.arange(n) + 0.5) * (2.0 * np.pi / n)
-        vals = f(theta)
-        if not np.all(np.isfinite(vals)):
-            # a sample collided with a spectral null; shift the grid
-            theta = theta + 0.5 * np.pi / n
-            vals = f(theta)
-        est = float(np.mean(vals))
-        if prev is not None and abs(est - prev) <= rel_tol * max(abs(est), 1e-300):
-            return est
-        prev = est
-        n *= 2
-    raise NonConvergent("theta quadrature did not reach tolerance")
 
 
 def _roots(channel: ChannelResponse) -> tuple[float, np.ndarray]:
@@ -226,14 +202,21 @@ def _min_phase_factor(r: np.ndarray) -> tuple[np.ndarray, float]:
     return g, float(np.abs(inside).max(initial=0.0))
 
 
+def _autocorrelation(channel: ChannelResponse) -> np.ndarray:
+    """r_0..r_{L-1} of the taps, |H(theta)|^2 = r_0 + 2 sum_k r_k cos(k theta);
+    zero taps at either end leave |H| unchanged and are stripped, so the
+    last lag is nonzero."""
+    taps = np.asarray(channel.taps, dtype=float)
+    nz = np.nonzero(taps)[0]
+    taps = taps[nz[0] : nz[-1] + 1]
+    return np.correlate(taps, taps, mode="full")[taps.size - 1 :]
+
+
 def _dfe_factor(channel: ChannelResponse, rho: float) -> tuple[float, np.ndarray, int]:
     """(gaussian_rate, c, m) of the one factorisation behind every summary
     at rho: log(rho gamma_0) = log1p(rho r_0) - log1p(sum_{i>=1} g_i^2),
     free of cancellation, and (c, m) = _inverse of G."""
-    taps = np.asarray(channel.taps, dtype=float)
-    nz = np.nonzero(taps)[0]
-    taps = taps[nz[0] : nz[-1] + 1]  # zero taps at either end leave |H| unchanged
-    r = np.correlate(taps, taps, mode="full")[taps.size - 1 :]
+    r = _autocorrelation(channel)
     energy = float(r[0])
     r[0] += 1.0 / rho
     g, r_max = _min_phase_factor(r)

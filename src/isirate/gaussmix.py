@@ -6,10 +6,13 @@ Everything here works on a one-dimensional density
 
 with a common sigma. Integrals are computed with composite Gauss-Legendre
 panels whose width is tied to sigma (the only smoothness scale of the
-integrand), doubling the panel density until two successive estimates
-agree. Components further than ``_WINDOW_SIGMAS`` standard deviations
-from an evaluation block are skipped; their contribution is below 1e-40
-of the local density.
+integrand). Every integral here runs through one refine-until-agree loop,
+``_refine``: the panel density doubles until two successive estimates
+agree, and the last difference is the error estimate. The entropy and the
+conditional second moment share one panel driver and differ only in their
+integrands, -p log p and num^2/p. Components further than
+``_WINDOW_SIGMAS`` standard deviations from an evaluation block are
+skipped; their contribution is below 1e-40 of the local density.
 """
 
 from __future__ import annotations
@@ -18,29 +21,34 @@ import numpy as np
 
 from .errors import NonConvergent
 
-_GL_ORDER = 16
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 _WINDOW_SIGMAS = 14.0
 _TAIL_SIGMAS = 10.0
 _NODE_BLOCK = 512
 _EVAL_BUDGET = 2**23  # elements per kernel matrix (64 MB of float64)
 
-
-def _gl_rule(order: int = _GL_ORDER) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _GL_CACHE:
-        _GL_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _GL_CACHE[order]
+# Mixture integrals: 1, 2, ..., 32 panels per sigma, agreement to 1e-12
+# relative or to the absolute floor of each integrand.
+_MIXTURE_LEVELS = 6
+_MIXTURE_REL_TOL = 1e-12
+_ENTROPY_ABS_TOL = 1e-13
+_MOMENT_ABS_TOL = 1e-14
+# gl_integrate: up to 12 doublings of the panel count.
+_GL_MAX_LEVELS = 12
+_GL_REL_TOL = 1e-13
+_GL_ABS_TOL = 1e-14
+# Atoms closer than this, relative to max(1, largest |value|), are merged.
+_ATOM_TOL = 1e-12
 
 
 def _panel_nodes(lo: float, hi: float, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of a composite Gauss-Legendre rule on [lo, hi]."""
-    gx, gw = _gl_rule()
     edges = np.linspace(lo, hi, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
-    nodes = (mid[:, None] + half * gx[None, :]).ravel()
-    weights = np.broadcast_to(half * gw[None, :], (n_panels, gx.size)).ravel()
+    nodes = (mid[:, None] + half * _GL_NODES[None, :]).ravel()
+    weights = np.broadcast_to(half * _GL_WEIGHTS[None, :], (n_panels, _GL_NODES.size)).ravel()
     return nodes, weights
 
 
@@ -78,23 +86,52 @@ def _mixture_eval(
     return p, num
 
 
-def _sorted_mixture(
-    means: np.ndarray, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    means = np.asarray(means, dtype=float).ravel()
-    weights = np.asarray(weights, dtype=float).ravel()
-    order = np.argsort(means, kind="stable")
-    return means[order], weights[order]
+def _refine(estimate, levels: int, rel_tol: float, abs_tol: float) -> tuple[float, float]:
+    """The one refine-until-agree loop: ``estimate(k)`` for k = 0, 1, ...
+    below ``levels``, until two successive estimates agree within
+    max(abs_tol, rel_tol |est|). Returns ``(est, |est - prev|)``; raises
+    NonConvergent, with the last estimate, if no pair agrees."""
+    prev = None
+    for level in range(levels):
+        est = estimate(level)
+        if prev is not None:
+            delta = abs(est - prev)
+            if delta <= max(abs_tol, rel_tol * abs(est)):
+                return est, delta
+        prev = est
+    raise NonConvergent(f"quadrature did not converge (last estimate {prev!r})")
 
 
-def mixture_entropy(
-    means,
-    weights,
+def _mixture_integral(
+    means: np.ndarray,
+    weights: np.ndarray,
     sigma: float,
-    rel_tol: float = 1e-12,
-    abs_tol: float = 1e-13,
-    max_pps: int = 32,
+    integrand,
+    abs_tol: float,
+    values: np.ndarray | None = None,
 ) -> tuple[float, float]:
+    """(integral, err) of integrand(p, num) where p > 0, for the mixture p
+    and num(y) = sum_j v_j w_j N(y; c_j, sigma^2) (None without ``values``),
+    on panels from 1 per sigma up over _MIXTURE_LEVELS doublings."""
+    order = np.argsort(means, kind="stable")
+    ms, ws = means[order], weights[order]
+    coeff = None if values is None else values[order]
+    lo = ms[0] - _TAIL_SIGMAS * sigma
+    hi = ms[-1] + _TAIL_SIGMAS * sigma
+
+    def estimate(level: int) -> float:
+        n_panels = max(4, int(np.ceil((hi - lo) / sigma * 2.0**level)))
+        nodes, qw = _panel_nodes(lo, hi, n_panels)
+        p, num = _mixture_eval(nodes, ms, ws, sigma, value_coeff=coeff)
+        mask = p > 0.0
+        f = np.zeros_like(p)
+        f[mask] = integrand(p[mask], None if num is None else num[mask])
+        return float(f @ qw)
+
+    return _refine(estimate, _MIXTURE_LEVELS, _MIXTURE_REL_TOL, abs_tol)
+
+
+def mixture_entropy(means, weights, sigma: float) -> tuple[float, float]:
     """Differential entropy (nats) of the mixture, with an error estimate.
 
     Returns ``(h, err)`` where ``err`` is the last inter-refinement
@@ -102,38 +139,16 @@ def mixture_entropy(
     """
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
-    ms, ws = _sorted_mixture(means, weights)
-    lo = ms[0] - _TAIL_SIGMAS * sigma
-    hi = ms[-1] + _TAIL_SIGMAS * sigma
-    prev = None
-    pps = 1.0
-    while pps <= max_pps:
-        n_panels = max(4, int(np.ceil((hi - lo) / sigma * pps)))
-        nodes, qw = _panel_nodes(lo, hi, n_panels)
-        p, _ = _mixture_eval(nodes, ms, ws, sigma)
-        mask = p > 0.0
-        f = np.zeros_like(p)
-        f[mask] = -p[mask] * np.log(p[mask])
-        est = float(f @ qw)
-        if prev is not None:
-            delta = abs(est - prev)
-            if delta <= max(abs_tol, rel_tol * abs(est)):
-                return est, delta
-        prev = est
-        pps *= 2.0
-    raise NonConvergent(
-        f"mixture entropy did not converge (last estimate {prev!r})"
+    return _mixture_integral(
+        np.asarray(means, dtype=float).ravel(),
+        np.asarray(weights, dtype=float).ravel(),
+        sigma,
+        lambda p, _: -p * np.log(p),
+        _ENTROPY_ABS_TOL,
     )
 
 
-def mixture_conditional_second_moment(
-    values,
-    weights,
-    gamma: float,
-    rel_tol: float = 1e-12,
-    abs_tol: float = 1e-14,
-    max_pps: int = 32,
-) -> float:
+def mixture_conditional_second_moment(values, weights, gamma: float) -> float:
     """E[(E[z|y])^2] for discrete z observed as y = sqrt(gamma) z + N(0,1).
 
     ``values``/``weights`` describe the law of z. The returned quantity
@@ -143,42 +158,22 @@ def mixture_conditional_second_moment(
     wts = np.asarray(weights, dtype=float).ravel()
     if gamma == 0.0:
         return float((vals * wts).sum()) ** 2
-    root = np.sqrt(gamma)
-    ms, order = np.sort(root * vals), np.argsort(root * vals, kind="stable")
-    ws = wts[order]
-    coeff = vals[order]
-    lo = ms[0] - _TAIL_SIGMAS
-    hi = ms[-1] + _TAIL_SIGMAS
-    prev = None
-    pps = 1.0
-    while pps <= max_pps:
-        n_panels = max(4, int(np.ceil((hi - lo) * pps)))
-        nodes, qw = _panel_nodes(lo, hi, n_panels)
-        p, num = _mixture_eval(nodes, ms, ws, 1.0, value_coeff=coeff)
-        mask = p > 0.0
-        f = np.zeros_like(p)
-        f[mask] = num[mask] * num[mask] / p[mask]
-        est = float(f @ qw)
-        if prev is not None:
-            delta = abs(est - prev)
-            if delta <= max(abs_tol, rel_tol * abs(est)):
-                return est
-        prev = est
-        pps *= 2.0
-    raise NonConvergent("conditional second moment did not converge")
+    second, _ = _mixture_integral(
+        np.sqrt(gamma) * vals, wts, 1.0, lambda p, num: num * num / p, _MOMENT_ABS_TOL, vals
+    )
+    return second
 
 
-def consolidate_atoms(
-    values, weights, tol: float = 1e-12
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merge duplicate atoms (within tol of each other) of a discrete law."""
+def consolidate_atoms(values, weights) -> tuple[np.ndarray, np.ndarray]:
+    """Merge duplicate atoms (within _ATOM_TOL of the largest |value|, or
+    of 1) of a discrete law."""
     vals = np.asarray(values, dtype=float).ravel()
     wts = np.asarray(weights, dtype=float).ravel()
     order = np.argsort(vals, kind="stable")
     vals, wts = vals[order], wts[order]
     scale = max(1.0, np.abs(vals).max(initial=0.0))
     new_group = np.ones(vals.size, dtype=bool)
-    new_group[1:] = np.diff(vals) > tol * scale
+    new_group[1:] = np.diff(vals) > _ATOM_TOL * scale
     group = np.cumsum(new_group) - 1
     n = group[-1] + 1 if vals.size else 0
     merged_w = np.zeros(n)
@@ -189,23 +184,13 @@ def consolidate_atoms(
     return merged_v, merged_w
 
 
-def gl_integrate(
-    f,
-    lo: float,
-    hi: float,
-    rel_tol: float = 1e-12,
-    abs_tol: float = 1e-14,
-    min_panels: int = 8,
-    max_levels: int = 12,
-) -> float:
-    """Adaptive-by-doubling composite Gauss-Legendre integral of f on [lo, hi]."""
-    prev = None
-    n_panels = min_panels
-    for _ in range(max_levels):
-        nodes, qw = _panel_nodes(lo, hi, n_panels)
-        est = float(f(nodes) @ qw)
-        if prev is not None and abs(est - prev) <= max(abs_tol, rel_tol * abs(est)):
-            return est
-        prev = est
-        n_panels *= 2
-    raise NonConvergent("gl_integrate did not converge")
+def gl_integrate(f, lo: float, hi: float, min_panels: int = 8) -> float:
+    """Composite Gauss-Legendre integral of f on [lo, hi], doubling the
+    panel count from ``min_panels`` until two estimates agree."""
+
+    def estimate(level: int) -> float:
+        nodes, qw = _panel_nodes(lo, hi, min_panels * 2**level)
+        return float(f(nodes) @ qw)
+
+    value, _ = _refine(estimate, _GL_MAX_LEVELS, _GL_REL_TOL, _GL_ABS_TOL)
+    return value

@@ -21,7 +21,7 @@ from scipy.special import erfcx, spence
 
 from .channel import (
     ChannelResponse,
-    _mean_over_theta,
+    _autocorrelation,
     _roots,
     _zf_le_gain,
     log_mean_spectrum,
@@ -29,7 +29,7 @@ from .channel import (
     transfer_power,
 )
 from .errors import DomainError, InconclusiveSearch, SnrTooLow
-from .scalar import InputDistribution, binary_entropy, log_q_integral, q_integral, q_tail
+from .scalar import InputDistribution, binary_entropy, log_q_integral
 
 _NODE_GUARD = 2_000_000
 
@@ -181,16 +181,7 @@ def fano_forney_upper(
 
     h2(P) + P log|X| with P = min(1/2, K' Q(sqrt(rho (d/2)^2 delta_min^2))).
     """
-    if k_prime <= 0.0:
-        raise DomainError("k_prime must be positive")
-    ch = to_minimum_phase(channel.normalized())
-    if search is None:
-        search = delta_min_sq(ch, x)
-    if not search.certified:
-        raise InconclusiveSearch("delta_min_sq is not certified")
-    d_half_sq = (_normalized_d_min(x) / 2.0) ** 2
-    p_err = min(0.5, k_prime * q_tail(math.sqrt(rho * d_half_sq * search.delta_min_sq)))
-    return binary_entropy(p_err) + p_err * math.log(len(x.atoms))
+    return math.exp(log_fano_forney_upper(channel, x, rho, k_prime, search=search))
 
 
 def log_fano_forney_upper(
@@ -209,13 +200,16 @@ def log_fano_forney_upper(
     if not search.certified:
         raise InconclusiveSearch("delta_min_sq is not certified")
     d_half_sq = (_normalized_d_min(x) / 2.0) ** 2
-    log_p = math.log(k_prime) + _log_q_tail(
-        math.sqrt(rho * d_half_sq * search.delta_min_sq)
+    log_p = min(
+        math.log(0.5),
+        math.log(k_prime) + _log_q_tail(math.sqrt(rho * d_half_sq * search.delta_min_sq)),
     )
+    log_n = math.log(len(x.atoms))
     if log_p >= math.log(1e-12):
-        return math.log(fano_forney_upper(channel, x, rho, k_prime, search=search))
+        p = math.exp(log_p)
+        return math.log(binary_entropy(p) + p * log_n)
     # h2(p) + p log|X| = p (1 - log p + log|X|) + O(p^2)
-    return log_p + math.log(1.0 - log_p + math.log(len(x.atoms)))
+    return log_p + math.log(1.0 - log_p + log_n)
 
 
 def _min_distance_pair_prob(x: InputDistribution) -> float:
@@ -247,12 +241,30 @@ def log_sq_mean_spectrum(channel: ChannelResponse) -> float:
     return float(a * a + 2.0 * np.real(spence(1.0 - w).sum()))
 
 
+def _low_spectrum_fraction(channel: ChannelResponse, t: float) -> float:
+    """|{theta : |H(theta)|^2 < t}| / 2 pi, exact up to root round-off.
+
+    On the unit circle z^{L-1} (|H(z)|^2 - t) is the polynomial with the
+    palindromic coefficients r_{L-1}..r_1, r_0 - t, r_1..r_{L-1}, so every
+    crossing of t is the angle of one of its 2(L-1) roots. Between two
+    consecutive root angles |H|^2 - t keeps its sign, read at the midpoint.
+    """
+    r = _autocorrelation(channel)
+    coeffs = np.concatenate((r[:0:-1], r))
+    coeffs[r.size - 1] -= t
+    angles = np.sort(np.angle(np.roots(coeffs)))
+    gaps = np.diff(angles, append=angles[0] + 2.0 * np.pi)
+    below = transfer_power(channel, angles + 0.5 * gaps) < t
+    return float(gaps[below].sum() / (2.0 * np.pi))
+
+
 def snr_dfe_upper_bound(channel: ChannelResponse, rho: float) -> float:
     """Upper bound on the biased MMSE-DFE output SNR at high input SNR.
 
     For strictly positive spectra: rho g_zf_dfe + g_zf_dfe/g_zf_le. With
     spectral nulls: rho g_zf_dfe (1 + sqrt(1/rho)) e^{c1 sqrt(|Omega|/2pi)}
-    with c1^2 = <log^2|H|^2> and Omega the set where |H|^2 < sqrt(1/rho).
+    with c1^2 = <log^2|H|^2> and Omega the set where |H|^2 < sqrt(1/rho),
+    measured exactly from the crossing angles (_low_spectrum_fraction).
     Requires the unit-energy normalization and 2 sqrt(1/rho) < 1.
     """
     if abs(channel.energy() - 1.0) > 1e-9:
@@ -267,12 +279,7 @@ def snr_dfe_upper_bound(channel: ChannelResponse, rho: float) -> float:
     # null-bearing spectrum: Cauchy-Schwarz on the low-|H| set
     c1 = math.sqrt(log_sq_mean_spectrum(channel))
     threshold = math.sqrt(1.0 / rho)
-    omega_frac = _mean_over_theta(
-        lambda th: (transfer_power(channel, th) < threshold).astype(float),
-        rel_tol=1e-4,
-    )
-    # inflate the measured fraction so the bound stays an upper bound
-    omega_frac = min(1.0, omega_frac * 1.05 + 1e-6)
+    omega_frac = _low_spectrum_fraction(channel, threshold)
     return rho * g * (1.0 + threshold) * math.exp(c1 * math.sqrt(omega_frac))
 
 
@@ -283,10 +290,7 @@ def sl_gap_lower(channel: ChannelResponse, x: InputDistribution, rho: float) -> 
     and the Gaussian-tail integral, evaluated at an upper bound on the
     unbiased DFE SNR.
     """
-    ch = channel.normalized()
-    snr_u = snr_dfe_upper_bound(ch, rho) - 1.0
-    d_half_sq = (_normalized_d_min(x) / 2.0) ** 2
-    return 2.0 * _min_distance_pair_prob(x) * q_integral(d_half_sq * snr_u)
+    return math.exp(log_sl_gap_lower(channel, x, rho))
 
 
 def log_sl_gap_lower(

@@ -189,7 +189,7 @@ def mmse_binary(gamma: float) -> float:
     lo = root - 46.0
     hi = root + 12.0
     n_panels = max(16, int(math.ceil(hi - lo)))
-    return gl_integrate(integrand, lo, hi, rel_tol=1e-13, min_panels=n_panels)
+    return gl_integrate(integrand, lo, hi, min_panels=n_panels)
 
 
 def q_tail(x) -> np.ndarray | float:

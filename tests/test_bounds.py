@@ -409,8 +409,21 @@ class TestIeBounds:
             opt, g1, g2 = ie_opt(jeong(), x, 0.1)
         assert opt >= ie_simple(jeong(), x, 0.1)
         assert 0.0 <= g1 <= g2
-        # the simple point is negative here; the trivial point wins
-        assert (opt, g1, g2) == (0.0, 0.0, 0.0)
+        # the simple point is negative here, and the joint grid optimum on
+        # the diagonal beats the trivial point's 0
+        assert all(type(v) is float for v in (opt, g1, g2))
+        assert opt == pytest.approx(0.002908, abs=1e-6)
+        assert opt == pytest.approx(ie_bound(jeong(), x, 0.1, g1, g2), abs=1e-15)
+
+    def test_opt_grid_fallback_is_joint_over_g1_below_g2(self):
+        # with b1 > 1 the separate argmaxes of T1 and T2 clip off the
+        # diagonal, where ie_bound(g, g) reaches 0.02064 at g = 0.0714
+        x = make_trinary(0.01)
+        with pytest.warns(UserWarning, match="grid search"):
+            opt, g1, g2 = ie_opt(jeong(), x, 0.1)
+        assert 0.0 <= g1 <= g2
+        assert opt >= ie_bound(jeong(), x, 0.1, 0.0714, 0.0714) > 0.0206
+        assert opt == pytest.approx(ie_bound(jeong(), x, 0.1, g1, g2), abs=1e-15)
 
     def test_opt_not_below_trivial_point(self):
         # ie_bound(0, 0) = 0, and an interior point does better still; the

@@ -7,7 +7,6 @@ import pytest
 
 from isirate.channel import (
     ChannelResponse,
-    _mean_over_theta,
     channel_b,
     jeong,
     jeong_spaced,
@@ -18,7 +17,7 @@ from isirate.channel import (
 )
 from isirate.errors import DomainError
 
-from conftest import random_unit_channel
+from conftest import mean_over_theta, random_unit_channel
 
 ORACLE_DB = (-40.0, -25.0, -10.0, 0.0, 15.0, 30.0, 45.0)
 NULL = ChannelResponse((math.sqrt(0.5), math.sqrt(0.5)))
@@ -131,8 +130,8 @@ class TestClosedFormsAgainstQuadrature:
         for db in ORACLE_DB:
             rho = 10 ** (db / 10)
             ss = spectral_summary(ch, rho)
-            rate = _mean_over_theta(lambda th: np.log1p(rho * power(th)))
-            le = 1.0 / _mean_over_theta(lambda th: 1.0 / (1.0 + rho * power(th)))
+            rate = mean_over_theta(lambda th: np.log1p(rho * power(th)))
+            le = 1.0 / mean_over_theta(lambda th: 1.0 / (1.0 + rho * power(th)))
             assert ss.gaussian_rate == pytest.approx(rate, rel=1e-10), db
             assert ss.snr_dfe == pytest.approx(math.exp(rate), rel=1e-10), db
             assert ss.snr_le == pytest.approx(le, rel=1e-10), db
@@ -144,7 +143,7 @@ class TestClosedFormsAgainstQuadrature:
         if roots.size and np.min(np.abs(np.abs(roots) - 1.0)) <= 1e-9:
             assert ss.g_zf_le == 0.0  # <1/|H|^2> diverges on a null
         else:
-            oracle = 1.0 / _mean_over_theta(lambda th: 1.0 / transfer_power(ch, th))
+            oracle = 1.0 / mean_over_theta(lambda th: 1.0 / transfer_power(ch, th))
             assert ss.g_zf_le == pytest.approx(oracle, rel=1e-10)
 
     @pytest.mark.parametrize("root", [1.0 - 1e-7, 1.0 + 1e-7])

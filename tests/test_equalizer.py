@@ -12,7 +12,6 @@ from isirate.channel import (
     ChannelResponse,
     channel_b,
     jeong,
-    _mean_over_theta,
     jeong_spaced,
     transfer_power,
 )
@@ -27,7 +26,7 @@ from isirate.equalizer import (
 from isirate.errors import BudgetExceeded, DomainError, RootFindingFailure
 from isirate.scalar import bpsk, make_skewed_binary
 
-from conftest import quadrature_summary, random_unit_channel
+from conftest import mean_over_theta, quadrature_summary, random_unit_channel
 
 NULL = ChannelResponse((math.sqrt(0.5), math.sqrt(0.5)))
 
@@ -239,7 +238,7 @@ class TestHighSnr:
         start = time.perf_counter()
         d = design_mmse_dfe(ch, bpsk(), rho)
         assert time.perf_counter() - start < 0.1
-        rate = _mean_over_theta(lambda th: np.log1p(rho * transfer_power(ch, th)), rel_tol=1e-13)
+        rate = mean_over_theta(lambda th: np.log1p(rho * transfer_power(ch, th)), rel_tol=1e-13)
         assert abs(d.snr_unbiased - math.expm1(rate)) <= 1e-9 * math.expm1(rate)
 
     def test_null_channel_two_tap(self):

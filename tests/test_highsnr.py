@@ -5,18 +5,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isirate.channel import (
     ChannelResponse,
-    _mean_over_theta,
     channel_b,
     jeong,
     jeong_spaced,
+    spectral_summary,
     to_minimum_phase,
     transfer_power,
 )
 from isirate.errors import DomainError, SnrTooLow
 from isirate.highsnr import (
+    _low_spectrum_fraction,
     crossover_probe,
     delta_min_sq,
     error_alphabet,
@@ -31,7 +34,7 @@ from isirate.highsnr import (
 )
 from isirate.scalar import bpsk, make_skewed_binary, make_trinary, mutual_info
 
-from conftest import random_unit_channel
+from conftest import mean_over_theta, random_unit_channel
 
 
 def two_tap_channel(q):
@@ -185,11 +188,53 @@ class TestLogSqMeanSpectrum:
     @pytest.mark.parametrize("ch", [channel_b(), jeong_spaced()], ids=["channel_b", "jeong_spaced"])
     def test_matches_quadrature(self, ch):
         # no root on the unit circle, so the midpoint rule converges
-        quad = _mean_over_theta(lambda th: np.log(transfer_power(ch, th)) ** 2, rel_tol=1e-13)
+        quad = mean_over_theta(lambda th: np.log(transfer_power(ch, th)) ** 2, rel_tol=1e-13)
         assert log_sq_mean_spectrum(ch) == pytest.approx(quad, rel=1e-9)
 
     def test_flat(self):
         assert log_sq_mean_spectrum(ChannelResponse((2.0,))) == pytest.approx(math.log(4.0) ** 2, rel=1e-15)
+
+
+# conv([1, 1], taps) puts a null at theta = pi; taps are multiples of 1e-3
+null_channels = (
+    st.lists(st.floats(-1.0, 1.0).map(lambda v: round(v, 3)), min_size=1, max_size=3)
+    .filter(lambda t: sum(v * v for v in t) > 1e-2)
+    .map(lambda t: ChannelResponse(tuple(np.convolve([1.0, 1.0], t))).normalized())
+)
+null_snr_db = st.floats(7.0, 60.0)
+
+
+class TestLowSpectrumFraction:
+    GRID = 2**22
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(ch=null_channels, snr_db=null_snr_db)
+    def test_matches_midpoint_grid(self, ch, snr_db):
+        t = 10 ** (-snr_db / 20)
+        n = self.GRID
+        # |H|^2 at theta_k = -pi + (k + 1/2) 2 pi/n, by one FFT
+        m = np.arange(ch.length)
+        power = np.abs(np.fft.fft(np.asarray(ch.taps) * np.exp(1j * np.pi * (1 - 1 / n) * m), n)) ** 2
+        grid = np.count_nonzero(power < t) / n
+        # each crossing of t misplaces at most one grid cell; every crossing
+        # is a root of z^{L-1}(|H(z)|^2 - t) on the unit circle
+        r = np.correlate(ch.taps, ch.taps, mode="full")
+        r[ch.length - 1] -= t
+        crossings = np.count_nonzero(np.abs(np.abs(np.roots(r)) - 1.0) < 1e-6)
+        assert abs(_low_spectrum_fraction(ch, t) - grid) <= crossings / n
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(ch=null_channels, snr_db=null_snr_db)
+    def test_snr_bound_holds(self, ch, snr_db):
+        rho = 10 ** (snr_db / 10)
+        assert snr_dfe_upper_bound(ch, rho) >= spectral_summary(ch, rho).snr_dfe
+
+    def test_two_tap_null_closed_form(self):
+        # |H|^2 = 1 + cos(theta) < t on |theta| > arccos(t - 1)
+        ch = ChannelResponse((math.sqrt(0.5), math.sqrt(0.5)))
+        for t in (0.01, 0.3, 1.0):
+            want = 1.0 - math.acos(t - 1.0) / math.pi
+            assert _low_spectrum_fraction(ch, t) == pytest.approx(want, rel=1e-12)
 
 
 def _q_int_at(s):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from isirate.errors import DomainError
+from isirate.errors import DomainError, NonConvergent
+from isirate.gaussmix import _refine
 from isirate.scalar import (
     InputDistribution,
     binary_entropy,
@@ -220,3 +221,13 @@ class TestBinaryEntropy:
         assert binary_entropy(p) == pytest.approx(
             -p * math.log(p) - (1 - p) * math.log(1 - p), abs=1e-15
         )
+
+
+class TestRefine:
+    def test_returns_first_agreeing_pair(self):
+        est, err = _refine(lambda level: 1.0 + 2.0**-level, 10, 0.0, 0.25)
+        assert (est, err) == (1.25, 0.25)
+
+    def test_raises_with_last_estimate_when_never_settled(self):
+        with pytest.raises(NonConvergent, match="last estimate 4.0"):
+            _refine(lambda level: float(level), 5, 1e-12, 1e-14)
