@@ -28,9 +28,7 @@ from .scalar import (
 )
 from .equalizer import (
     DfeDesign,
-    DfeSummary,
     design_mmse_dfe,
-    summarize,
     two_tap_residual,
 )
 from .bounds import (

@@ -1,12 +1,15 @@
 """Achievable-rate bounds and approximations built on the MMSE-DFE output.
 
-The central object is the unbiased-DFE channel z = x_0 + sum_k alpha_k x_k + m.
-Its mutual information is evaluated two independent ways: exact enumeration
-of the interference mixture (i_mmse_exact) and pattern-sampling Monte Carlo
-against a characteristic-function density table (i_mmse_mc). Around it sit
-the single-letter proxies (i_sow, i_sl), the low-SNR gap expansion, the
-genie MMSE lower bound and the Information-Estimation bound family.
-All rates are nats.
+The central object is the unbiased-DFE channel z = x_0 + sum_k alpha_k x_k + m,
+a DfeDesign. Its mutual information is evaluated two independent ways:
+exact enumeration of the interference mixture (i_mmse_exact), which raises
+BudgetExceeded past _BUDGET components, and pattern-sampling Monte Carlo
+against a characteristic-function density table (i_mmse_mc). bound_report
+takes the route it is asked for and never swaps one for the other. Around
+it sit the single-letter proxies (i_sow, i_sl), the low-SNR gap expansion,
+the genie MMSE lower bound and the Information-Estimation bound family.
+Each bound built on the DFE has one form, f(design, x); i_sow needs no
+design and takes (channel, x, rho). All rates are nats.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 from .channel import ChannelResponse, log_mean_spectrum
-from .equalizer import DfeDesign, DfeSummary, design_mmse_dfe, summarize
+from .equalizer import DfeDesign, design_mmse_dfe
 from .errors import (
     BudgetExceeded,
     DomainError,
@@ -33,8 +36,8 @@ from .montecarlo import RateEstimate, stream_rng
 from .scalar import InputDistribution, discrete_mmse, mmse, mutual_info
 
 _HALF_LOG_2PIE = 0.5 * math.log(2.0 * math.pi * math.e)
-_DEFAULT_BUDGET = 2**24
-_AUTO_EXACT_BUDGET = 2**18  # sweep-friendly ceiling for auto dispatch
+_BUDGET = 2**24  # mixture components i_mmse_exact may keep
+_I_MMSE_METHODS = ("exact", "mc", "none")
 _PRUNE_MASS = 1e-12
 _MC_STREAMS = 8
 
@@ -48,9 +51,9 @@ def i_sow(channel: ChannelResponse, x: InputDistribution, rho: float) -> float:
     return mutual_info(x, rho * math.exp(log_mean_spectrum(channel)))
 
 
-def i_sl(channel: ChannelResponse, x: InputDistribution, rho: float) -> float:
+def i_sl(design: DfeDesign, x: InputDistribution) -> float:
     """I_x at the unbiased MMSE-DFE output SNR exp<log(1+rho|H|^2)> - 1."""
-    return mutual_info(x, math.expm1(design_mmse_dfe(channel, x, rho).gaussian_rate))
+    return mutual_info(x, math.expm1(design.gaussian_rate))
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +99,7 @@ def _enumerate_mixture(
         need = max(0, means.size - max_keep)
         if allowed < need:
             raise BudgetExceeded(
-                f"mixture needs more than {budget} components; use i_mmse_mc"
+                f"mixture needs more than {budget} components; use the mc I_MMSE route"
             )
         k = max(need, allowed)
         if k == 0:
@@ -118,24 +121,22 @@ def _enumerate_mixture(
     return means, w / w.sum(), dropped
 
 
-def i_mmse_exact(
-    design: DfeDesign,
-    x: InputDistribution,
-    budget: int = _DEFAULT_BUDGET,
-) -> ImmseExact:
+def i_mmse_exact(design: DfeDesign, x: InputDistribution) -> ImmseExact:
     """I(x_0; x_0 + sum alpha_k x_k + m) by exact mixture entropies.
 
     Both terms of the decomposition I = h(x_0 + mu_1 + m) - h(mu_1 + m)
     are differential entropies of enumerated Gaussian mixtures over the
     truncated residual taps, each pruned of at most half of _PRUNE_MASS.
+    Raises BudgetExceeded when either mixture keeps more than _BUDGET
+    components.
     """
     atoms = np.asarray(x.atoms)
     probs = np.asarray(x.probs)
     sigma = math.sqrt(design.noise_var)
     taps1 = design.residual
     taps0 = np.concatenate(([1.0], taps1))
-    m0, w0, drop0 = _enumerate_mixture(taps0, atoms, probs, budget, 0.5 * _PRUNE_MASS)
-    m1, w1, drop1 = _enumerate_mixture(taps1, atoms, probs, budget, 0.5 * _PRUNE_MASS)
+    m0, w0, drop0 = _enumerate_mixture(taps0, atoms, probs, _BUDGET, 0.5 * _PRUNE_MASS)
+    m1, w1, drop1 = _enumerate_mixture(taps1, atoms, probs, _BUDGET, 0.5 * _PRUNE_MASS)
     h0, e0 = mixture_entropy(m0, w0, sigma)
     h1, e1 = mixture_entropy(m1, w1, sigma)
     pruned = drop0 + drop1
@@ -317,7 +318,7 @@ def i_mmse_mc(
 # low-SNR gap expansion
 
 
-def slc_gap_series(summary: DfeSummary, x: InputDistribution) -> float:
+def slc_gap_series(design: DfeDesign, x: InputDistribution) -> float:
     """Leading-orders prediction of I_MMSE - I_SL from the tap summaries.
 
     -(gamma1 s^2 / 6 b0^6) eps0^3
@@ -325,10 +326,7 @@ def slc_gap_series(summary: DfeSummary, x: InputDistribution) -> float:
     """
     s2 = x.skewness**2
     k2 = x.excess_kurtosis**2
-    b0 = summary.beta0_sq
-    g1 = summary.gamma1_cu
-    d1 = summary.delta1_4
-    e0 = summary.eps0
+    b0, g1, d1, e0 = design.beta0_sq, design.gamma1_cu, design.delta1_4, design.eps0
     cubic = -g1 * s2 / (6.0 * b0**3) * e0**3
     quartic = -(d1 * k2 / 24.0 - (2.0 * b0 + g1) * g1 * s2 / 4.0) / b0**4 * e0**4
     return cubic + quartic
@@ -423,33 +421,15 @@ def genie_one_cluster(
 # ---------------------------------------------------------------------------
 # Information-Estimation bound family
 #
-# Each bound is a function of the design's residual summary alone; the
-# public (channel, x, rho) forms design the DFE, summarise it and call the
-# private core.
+# Each bound is a function of the design's residual summaries alone.
 
 
-def _design_summary(channel: ChannelResponse, x: InputDistribution, rho: float) -> DfeSummary:
-    return summarize(design_mmse_dfe(channel, x, rho), x)
-
-
-def ie_bound(
-    channel: ChannelResponse,
-    x: InputDistribution,
-    rho: float,
-    gamma1: float,
-    gamma2: float,
-) -> float:
+def ie_bound(design: DfeDesign, x: InputDistribution, gamma1: float, gamma2: float) -> float:
     """Two-parameter lower bound on I_MMSE, valid for 0 <= g1 <= g2 <= S."""
-    return _ie_bound_from_summary(_design_summary(channel, x, rho), x, gamma1, gamma2)
-
-
-def _ie_bound_from_summary(
-    cf: DfeSummary, x: InputDistribution, gamma1: float, gamma2: float
-) -> float:
-    s = cf.S
+    s = design.S
     if not 0.0 <= gamma1 <= gamma2 <= s * (1.0 + 1e-12):
         raise DomainError("need 0 <= gamma1 <= gamma2 <= S")
-    b0, b1 = cf.beta0_sq, cf.beta1_sq
+    b0, b1 = design.beta0_sq, design.beta1_sq
     return (
         mutual_info(x, b0 * gamma1)
         - mutual_info(x, gamma1)
@@ -458,28 +438,18 @@ def _ie_bound_from_summary(
     )
 
 
-def ie_simple(channel: ChannelResponse, x: InputDistribution, rho: float) -> float:
+def ie_simple(design: DfeDesign, x: InputDistribution) -> float:
     """The gamma1 = gamma2 = S point: I_x(b0^2 S) - (1/2) log(1 + b1^2 S)."""
-    return _ie_simple(_design_summary(channel, x, rho), x)
+    return mutual_info(x, design.eps0) - 0.5 * math.log1p(design.eps1)
 
 
-def _ie_simple(cf: DfeSummary, x: InputDistribution) -> float:
-    return mutual_info(x, cf.beta0_sq * cf.S) - 0.5 * math.log1p(cf.beta1_sq * cf.S)
-
-
-def ie_conj(channel: ChannelResponse, x: InputDistribution, rho: float) -> float:
+def ie_conj(design: DfeDesign, x: InputDistribution) -> float:
     """I_x(b0^2 S) - I_x(b1^2 S). Conjectured lower bound only: it has never
     been proven, and is reported flagged as such."""
-    return _ie_conj(_design_summary(channel, x, rho), x)
+    return mutual_info(x, design.eps0) - mutual_info(x, design.eps1)
 
 
-def _ie_conj(cf: DfeSummary, x: InputDistribution) -> float:
-    return mutual_info(x, cf.beta0_sq * cf.S) - mutual_info(x, cf.beta1_sq * cf.S)
-
-
-def ie_opt(
-    channel: ChannelResponse, x: InputDistribution, rho: float
-) -> tuple[float, float, float]:
+def ie_opt(design: DfeDesign, x: InputDistribution) -> tuple[float, float, float]:
     """Optimized two-parameter bound; returns (value, gamma1*, gamma2*).
 
     Unless (S, S) is a KKT point of the bound, gamma2* equalizes mmse(g)
@@ -489,14 +459,10 @@ def ie_opt(
     result is never below the simple point (S, S) nor the trivial point
     (0, 0), whose bound is 0; the latter is returned as (0.0, 0.0, 0.0).
     """
-    return _ie_opt(_design_summary(channel, x, rho), x)
-
-
-def _ie_opt(cf: DfeSummary, x: InputDistribution) -> tuple[float, float, float]:
-    s, b0, b1 = cf.S, cf.beta0_sq, cf.beta1_sq
+    s, b0, b1 = design.S, design.beta0_sq, design.beta1_sq
     mm = lambda g: mmse(x, g)
     # the simple point (S, S), or the trivial point (0, 0) whose bound is 0
-    simple = _ie_simple(cf, x)
+    simple = ie_simple(design, x)
     best = (simple, s, s) if simple >= 0.0 else (0.0, 0.0, 0.0)
     # stop at (S, S) only at a KKT point, b0 mmse(b0 S) >= mmse(S) and
     # >= b1/(1 + b1 S); mmse round-off near 0 cannot fake the second
@@ -515,7 +481,7 @@ def _ie_opt(cf: DfeSummary, x: InputDistribution) -> tuple[float, float, float]:
         # search g1 below g2 only: for skewed inputs f1 changes sign many
         # times in quadrature noise above its first root
         g1 = g2 if f1(g2) >= 0.0 else root(f1, g2)
-        value = _ie_bound_from_summary(cf, x, g1, g2)
+        value = ie_bound(design, x, g1, g2)
     except ValueError:  # brentq: no sign change over the bracket
         warnings.warn("ie_opt bracket failed; falling back to grid search")
         grid = np.concatenate(([0.0], np.geomspace(1e-10 * s, s, 511)))
@@ -559,7 +525,7 @@ def bound_report(
     channel: ChannelResponse,
     x: InputDistribution,
     rho: float,
-    i_mmse_method: str = "auto",
+    i_mmse_method: str,
     n_samples: int = 100_000,
     seed: int = 0,
     include_gap_series: bool = False,
@@ -567,50 +533,40 @@ def bound_report(
 ) -> BoundReport:
     """Evaluate every bound at one SNR point.
 
-    ``i_mmse_method``: "exact", "mc", "auto" (exact if the mixture fits
-    2^18 components, else Monte Carlo) or "none". Every bound reads the
-    one spectral factorisation behind ``design``, which is made here
-    unless the caller passes it.
+    ``i_mmse_method`` is "exact", "mc" or "none", and the route asked for
+    is the route taken: an "exact" mixture over budget raises
+    BudgetExceeded. Every bound reads the one spectral factorisation
+    behind ``design``, which is made here unless the caller passes it.
     """
+    if i_mmse_method not in _I_MMSE_METHODS:
+        raise DomainError(f"i_mmse_method must be one of {_I_MMSE_METHODS}, not {i_mmse_method!r}")
     design = design or design_mmse_dfe(channel, x, rho)
-    cf = summarize(design, x)
-    opt_value, g1, g2 = _ie_opt(cf, x)
-    report_kwargs = dict(
+    opt_value, g1, g2 = ie_opt(design, x)
+    report = dict(
         rho=rho,
         gaussian_rate=design.gaussian_rate,
-        i_sow=mutual_info(x, rho * math.exp(log_mean_spectrum(channel))),
-        i_sl=mutual_info(x, math.expm1(design.gaussian_rate)),
-        ie_simple=_ie_simple(cf, x),
+        i_sow=i_sow(channel, x, rho),
+        i_sl=i_sl(design, x),
+        ie_simple=ie_simple(design, x),
         ie_opt=opt_value,
         gamma1_opt=g1,
         gamma2_opt=g2,
-        ie_conj=_ie_conj(cf, x),
+        ie_conj=ie_conj(design, x),
         i_mmse=None,
         i_mmse_method=None,
         i_mmse_std_error=None,
         i_mmse_err_bound=None,
-        gap_series=slc_gap_series(cf, x) if include_gap_series else None,
+        gap_series=slc_gap_series(design, x) if include_gap_series else None,
     )
-    budget = _DEFAULT_BUDGET
-    if i_mmse_method == "auto":
-        # dispatch on the pruned component count at a sweep-friendly ceiling;
-        # an explicit "exact" request still honors the full budget
-        i_mmse_method = "exact"
-        budget = _AUTO_EXACT_BUDGET
     if i_mmse_method == "exact":
-        try:
-            res = i_mmse_exact(design, x, budget=budget)
-            report_kwargs.update(
-                i_mmse=res.value, i_mmse_method="exact", i_mmse_err_bound=res.err_bound
-            )
-        except BudgetExceeded:
-            i_mmse_method = "mc"
-    if i_mmse_method == "mc":
+        res = i_mmse_exact(design, x)
+        report.update(i_mmse=res.value, i_mmse_method="exact", i_mmse_err_bound=res.err_bound)
+    elif i_mmse_method == "mc":
         est = i_mmse_mc(design, x, n_samples, seed)
-        report_kwargs.update(
+        report.update(
             i_mmse=est.value,
             i_mmse_method="mc",
             i_mmse_std_error=est.std_error,
             i_mmse_err_bound=est.notes.get("density_audit_err"),
         )
-    return BoundReport(**report_kwargs)
+    return BoundReport(**report)

@@ -146,7 +146,9 @@ def _reflect_inside(channel: ChannelResponse) -> tuple[float, np.ndarray]:
     mags = np.abs(roots)
     outside = mags > 1.0 + 1e-9
     gain = abs(lead) * float(np.prod(mags[outside]))
-    return gain, np.where(outside, 1.0 / np.conj(roots), roots)
+    reflected = roots.copy()
+    reflected[outside] = 1.0 / np.conj(roots[outside])
+    return gain, reflected
 
 
 def to_minimum_phase(channel: ChannelResponse) -> ChannelResponse:

@@ -29,7 +29,7 @@ from .channel import (
     spectral_summary,
     to_minimum_phase,
 )
-from .equalizer import design_mmse_dfe, summarize
+from .equalizer import design_mmse_dfe
 from .errors import DomainError, IsirateError
 from .highsnr import crossover_probe, delta_min_sq, exponent_gap
 from .rate_sim import estimate_rate
@@ -51,14 +51,13 @@ def _fmt(x) -> str:
 def parse_channel(spec: str, normalize: bool = False) -> ChannelResponse:
     if spec in CHANNEL_PRESETS:
         ch = CHANNEL_PRESETS[spec]()
-    elif spec.lstrip().startswith("["):
-        ch = ChannelResponse(tuple(json.loads(spec)))
-    else:
-        path = Path(spec)
-        if not path.exists():
-            raise DomainError(f"unknown channel spec {spec!r}")
-        ch = ChannelResponse(tuple(json.loads(path.read_text())))
-    return ch.normalized() if normalize else ch
+        return ch.normalized() if normalize else ch
+    if spec.lstrip().startswith("["):
+        return ChannelResponse.from_json(spec, normalize)
+    path = Path(spec)
+    if not path.exists():
+        raise DomainError(f"unknown channel spec {spec!r}")
+    return ChannelResponse.from_json(path.read_text(), normalize)
 
 
 def parse_input(spec: str) -> InputDistribution:
@@ -100,10 +99,14 @@ def _pool_map(fn, items):
         return list(pool.map(fn, items))
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _csv_text(header: list[str], rows: list[list]) -> str:
     lines = [",".join(header)]
     lines += [",".join(_fmt(v) if isinstance(v, float) or v is None else str(v) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    path.write_text(_csv_text(header, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -132,19 +135,18 @@ def cmd_dfe(args) -> int:
     ch = parse_channel(args.channel, args.normalize)
     x = parse_input(args.input)
     design = design_mmse_dfe(ch, x, 10 ** (args.snr_db / 10.0))
-    summ = summarize(design, x)
     out = {
         "rho": design.rho,
         "n_residual": int(design.residual.size),
         "noise_var": design.noise_var,
         "snr_unbiased": design.snr_unbiased,
-        "beta0_sq": summ.beta0_sq,
-        "beta1_sq": summ.beta1_sq,
-        "gamma1_cu": summ.gamma1_cu,
-        "delta1_4": summ.delta1_4,
-        "eps0": summ.eps0,
-        "eps1": summ.eps1,
-        "S": summ.S,
+        "beta0_sq": design.beta0_sq,
+        "beta1_sq": design.beta1_sq,
+        "gamma1_cu": design.gamma1_cu,
+        "delta1_4": design.delta1_4,
+        "eps0": design.eps0,
+        "eps1": design.eps1,
+        "S": design.S,
     }
     print(json.dumps(out, indent=2))
     if args.taps:
@@ -216,9 +218,7 @@ def cmd_bounds(args) -> int:
     if args.out:
         _write_csv(Path(args.out), _BOUND_COLUMNS, rows)
     else:
-        print(",".join(_BOUND_COLUMNS))
-        for row in rows:
-            print(",".join(_fmt(v) if isinstance(v, float) or v is None else str(v) for v in row))
+        sys.stdout.write(_csv_text(_BOUND_COLUMNS, rows))
     return 0
 
 
@@ -299,22 +299,21 @@ def _figure_gap(channel_spec, input_spec, snr_grid_db, out_dir, name, seed):
             ch, x, rho, i_mmse_method="exact", include_gap_series=True,
             seed=seed, design=design,
         )
-        eps0 = summarize(design, x).eps0
-        return [snr_db, eps0, _bits(rep.i_mmse - rep.i_sl), _bits(rep.gap_series)]
+        return [snr_db, design.eps0, _bits(rep.i_mmse - rep.i_sl), _bits(rep.gap_series)]
 
     rows = _pool_map(point, snr_grid_db)
     _write_csv(out_dir / f"{name}.csv", ["snr_db", "eps0", "gap_exact_bits", "gap_series_bits"], rows)
     return {"snr_grid_db": list(snr_grid_db)}
 
 
-def _figure_rate(channel_spec, input_spec, snr_grid_db, out_dir, name, seed, n_symbols, n_seeds, n_samples):
+def _figure_rate(channel_spec, input_spec, snr_grid_db, out_dir, name, seed, n_symbols, n_seeds, i_mmse_method, n_samples):
     ch = parse_channel(channel_spec)
     x = parse_input(input_spec)
 
     def point(snr_db):
         rho = 10 ** (snr_db / 10.0)
         rep = bound_report(
-            ch, x, rho, i_mmse_method="auto", n_samples=n_samples, seed=seed
+            ch, x, rho, i_mmse_method=i_mmse_method, n_samples=n_samples, seed=seed
         )
         est = estimate_rate(ch, x, rho, n_symbols, n_seeds, seed)
         return [
@@ -338,6 +337,7 @@ def _figure_rate(channel_spec, input_spec, snr_grid_db, out_dir, name, seed, n_s
         "n_symbols": n_symbols,
         "n_seeds": n_seeds,
         "n_samples": n_samples,
+        "i_mmse_method": i_mmse_method,
     }
 
 
@@ -385,15 +385,17 @@ def cmd_figure(args) -> int:
         extra = _figure_gap("channel_b", "skewed_binary(0.002)", _grid(-28.0, -18.0, 2.0), out_dir, name, seed)
     elif name in ("fig2a", "fig2b"):
         # grids cover the rise of the rate curves for each input; beyond
-        # them everything saturates at the input entropy
+        # them everything saturates at the input entropy. The trinary
+        # mixture outgrows exact enumeration on most of its grid; the
+        # skewed one fits on every point.
         if name == "fig2a":
-            inp, grid = "trinary(0.01)", _grid(-15.0, 2.5, 2.5)
+            inp, grid, method = "trinary(0.01)", _grid(-15.0, 2.5, 2.5), "mc"
         else:
-            inp, grid = "skewed_binary(0.002)", _grid(-20.0, -7.5, 2.5)
+            inp, grid, method = "skewed_binary(0.002)", _grid(-20.0, -7.5, 2.5), "exact"
         n_symbols = 5 * 10**8 if args.full else 10**7
         n_seeds = 20 if args.full else 10
         extra = _figure_rate(
-            "channel_b", inp, grid, out_dir, name, seed, n_symbols, n_seeds, args.n_samples
+            "channel_b", inp, grid, out_dir, name, seed, n_symbols, n_seeds, method, args.n_samples
         )
     elif name == "fig3":
         extra = _figure_bounds("jeong", "bpsk", _grid(-12.0, 15.0, 3.0), out_dir, name, seed, args.n_samples)
@@ -416,6 +418,12 @@ def cmd_figure(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+
+
+_SNR_GRID_HELP = (
+    "a:b:step, comma list or single dB value; write a grid that starts "
+    "negative as --snr-db=-10:0:10, with the '='"
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -449,8 +457,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bounds", help="bound sweep over an SNR grid")
     add_common(sp)
-    sp.add_argument("--snr-db", required=True, help="a:b:step, comma list or single dB value")
-    sp.add_argument("--i-mmse", default="auto", choices=["auto", "exact", "mc", "none"])
+    sp.add_argument("--snr-db", required=True, help=_SNR_GRID_HELP)
+    sp.add_argument(
+        "--i-mmse",
+        required=True,
+        choices=["exact", "mc", "none"],
+        help="I_MMSE route; exact exits 3 when the mixture outgrows its budget",
+    )
     sp.add_argument("--n-samples", type=int, default=100_000)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--gap-series", action="store_true")
@@ -473,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("highsnr-probe", help="high-SNR exponent comparison")
     add_common(sp)
-    sp.add_argument("--snr-db", required=True)
+    sp.add_argument("--snr-db", required=True, help=_SNR_GRID_HELP)
     sp.add_argument(
         "--k-prime",
         type=float,

@@ -20,14 +20,16 @@ whose SNR P_x/(sum alpha_k^2 P_x + E m^2) is snr_dfe - 1.
 
 The factorisation is the one in isirate.channel that also gives every
 spectral summary of the (channel, rho) point, so a design carries the
-Gaussian rate log snr_dfe too. summarize takes the residual summaries
-(beta_1^2, the third and fourth power sums, S) from the design's taps;
-the bounds read them from there and from nowhere else.
+Gaussian rate log snr_dfe too. The residual summaries (beta_1^2, the
+third and fourth power sums, S) are properties of the design, taken from
+its taps and noise variance; the bounds read them from there and from
+nowhere else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +53,11 @@ class DfeDesign:
     noise_var   : E m^2 of the Gaussian noise at the unbiased output.
     gaussian_rate : <log(1 + rho |H|^2)> = log snr_dfe in nats, from the
         same factorisation.
+
+    The residual summaries are read-only properties: beta1_sq, gamma1_cu
+    and delta1_4 the sums of alpha_k^2, alpha_k^3 (signed) and alpha_k^4
+    over k >= 1; beta0_sq = 1 + beta1_sq, the index-0 sum with alpha_0 = 1;
+    S = P_x / E m^2, eps0 = beta0_sq S and eps1 = beta1_sq S.
     """
 
     residual: np.ndarray
@@ -65,25 +72,38 @@ class DfeDesign:
         """Number of kept residual taps, residual_full.size (read-only)."""
         return int(self.residual_full.size)
 
+    @cached_property
+    def beta1_sq(self) -> float:
+        return float(self.residual @ self.residual)
+
+    @cached_property
+    def gamma1_cu(self) -> float:
+        return float((self.residual**3).sum())
+
+    @cached_property
+    def delta1_4(self) -> float:
+        return float((self.residual**4).sum())
+
+    @property
+    def beta0_sq(self) -> float:
+        return 1.0 + self.beta1_sq
+
+    @property
+    def S(self) -> float:
+        return self.x_power / self.noise_var
+
+    @property
+    def eps0(self) -> float:
+        return self.beta0_sq * self.S
+
+    @property
+    def eps1(self) -> float:
+        return self.beta1_sq * self.S
+
     @property
     def snr_unbiased(self) -> float:
         """P_x / (beta_1^2 P_x + E m^2), the unbiased output SNR."""
-        beta1_sq = float(self.residual @ self.residual)
-        return self.x_power / (beta1_sq * self.x_power + self.noise_var)
-
-
-@dataclass(frozen=True)
-class DfeSummary:
-    """Scalar summaries of the residual-ISI sequence (alpha_0 = 1 included
-    in the index-0 sums: beta0_sq = 1 + beta1_sq)."""
-
-    beta0_sq: float
-    beta1_sq: float
-    gamma1_cu: float  # sum alpha_k^3, signed
-    delta1_4: float  # sum alpha_k^4
-    eps0: float
-    eps1: float
-    S: float  # P_x / E m^2
+        return self.x_power / (self.beta1_sq * self.x_power + self.noise_var)
 
 
 def _truncate(alpha: np.ndarray) -> np.ndarray:
@@ -120,22 +140,6 @@ def design_mmse_dfe(
     # as many taps again) lies below 1e-12 of the largest tap
     kept = alpha[: max(m - 1, residual.size)].copy()
     return DfeDesign(kept[: residual.size], kept, noise_var, rho, px, gaussian_rate)
-
-
-def summarize(design: DfeDesign, x: InputDistribution) -> DfeSummary:
-    """Tap-domain residual summaries of a design."""
-    r = design.residual
-    beta1_sq = float(r @ r)
-    s = x.power / design.noise_var
-    return DfeSummary(
-        beta0_sq=1.0 + beta1_sq,
-        beta1_sq=beta1_sq,
-        gamma1_cu=float((r**3).sum()),
-        delta1_4=float((r**4).sum()),
-        eps0=(1.0 + beta1_sq) * s,
-        eps1=beta1_sq * s,
-        S=s,
-    )
 
 
 def two_tap_residual(q: float, rho: float, n_taps: int) -> np.ndarray:

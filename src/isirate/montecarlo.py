@@ -33,8 +33,3 @@ class RateEstimate:
     n_seeds: int
     seeds: tuple[tuple[int, int], ...]
     notes: dict = field(default_factory=dict)
-
-    @property
-    def ci3(self) -> tuple[float, float]:
-        """3-sigma confidence interval."""
-        return (self.value - 3.0 * self.std_error, self.value + 3.0 * self.std_error)

@@ -22,7 +22,7 @@ from isirate.bounds import (
     two_tap_gap_leading,
 )
 from isirate.channel import ChannelResponse, channel_b, jeong, jeong_spaced, to_minimum_phase
-from isirate.equalizer import design_mmse_dfe, summarize, two_tap_residual
+from isirate.equalizer import design_mmse_dfe, two_tap_residual
 from isirate.highsnr import delta_min_sq, error_alphabet, event_distance_sq, exponent_gap
 from isirate.rate_sim import build_trellis, estimate_rate, forward_log_likelihood
 from isirate.scalar import (
@@ -61,11 +61,10 @@ def test_criterion_01_appendix_identities():
         ch = random_unit_channel(rng, max_len=6)
         for rho in (0.1, 1.0, 10.0):
             d = design_mmse_dfe(ch, x, rho)
-            tap = summarize(d, x)
             rate, beta1_sq, s = quadrature_summary(ch, rho)
             oracle = {"beta1_sq": beta1_sq, "eps0": (1.0 + beta1_sq) * s, "eps1": beta1_sq * s, "S": s}
             for field, b in oracle.items():
-                a = getattr(tap, field)
+                a = getattr(d, field)
                 # relative check with an absolute floor for the exact-zero
                 # beta1_sq of memoryless channels (the quadrature returns
                 # noise ~1e-14 there)
@@ -105,14 +104,13 @@ def test_criterion_03_low_snr_gap_reproduction():
             rho = 10 ** (snr_db / 10.0)
             d = design_mmse_dfe(channel_b(), x, rho)
             assert d.residual.size <= 12
-            summ = summarize(d, x)
-            assert summ.eps0 <= 0.01
-            gap = i_mmse_exact(d, x).value - i_sl(channel_b(), x, rho)
-            series = slc_gap_series(summ, x)
+            assert d.eps0 <= 0.01
+            gap = i_mmse_exact(d, x).value - i_sl(d, x)
+            series = slc_gap_series(d, x)
             assert gap < 0.0, (name, snr_db)
             assert abs(series - gap) <= 0.2 * abs(gap), (name, snr_db)
             if abs(x.skewness) > 1.0:
-                cubic = -summ.gamma1_cu * x.skewness**2 / (6.0 * summ.beta0_sq**3) * summ.eps0**3
+                cubic = -d.gamma1_cu * x.skewness**2 / (6.0 * d.beta0_sq**3) * d.eps0**3
                 assert cubic < 0.0  # the two-tap-formula sign
                 assert abs(cubic) > abs(series - cubic)  # eps0^3 term dominates
             lines.append(f"{name}@{snr_db:g}dB gap={gap:+.2e} series={series:+.2e}")
@@ -129,7 +127,7 @@ def test_criterion_04_two_tap_leading_coefficient():
 
     def gap(rho):
         d = design_mmse_dfe(ch, x, rho)
-        return i_mmse_exact(d, x).value - i_sl(ch, x, rho)
+        return i_mmse_exact(d, x).value - i_sl(d, x)
 
     rho = 2e-3
     f1 = gap(rho) / rho**3
@@ -182,7 +180,7 @@ def test_criterion_06_rate_vs_sl_counterexample():
     best_z = math.inf
     for snr_db in grid_db:
         rho = 10 ** (snr_db / 10.0)
-        ref = i_sl(channel_b(), x, rho)
+        ref = i_sl(design_mmse_dfe(channel_b(), x, rho), x)
         est = estimate_rate(channel_b(), x, rho, n_symbols, n_seeds, seed=123)
         per_seed = np.asarray(est.notes["per_seed"])
         # CI honesty: independent seed-halves must agree

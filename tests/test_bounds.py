@@ -29,9 +29,10 @@ from isirate.bounds import (
     slc_gap_series,
     two_tap_gap_leading,
 )
+import isirate.bounds
 import isirate.channel
 from isirate.channel import ChannelResponse, channel_b, jeong, spectral_summary
-from isirate.equalizer import design_mmse_dfe, summarize
+from isirate.equalizer import design_mmse_dfe
 from isirate.errors import BudgetExceeded, DomainError, NormalizationViolated, PartitionInvalid
 from isirate.scalar import (
     bpsk,
@@ -49,22 +50,19 @@ def two_tap_channel(q):
     return ChannelResponse((math.sqrt(1 - q * q), q))
 
 
-def design_summary(ch, x, rho):
-    return summarize(design_mmse_dfe(ch, x, rho), x)
-
-
 class TestSingleLetterProxies:
     def test_flat_channel_collapse(self):
         ch = ChannelResponse((1.0,))
         ref = mutual_info(bpsk(), 2.0)
         assert i_sow(ch, bpsk(), 2.0) == pytest.approx(ref, abs=1e-10)
-        assert i_sl(ch, bpsk(), 2.0) == pytest.approx(ref, abs=1e-10)
+        assert i_sl(design_mmse_dfe(ch, bpsk(), 2.0), bpsk()) == pytest.approx(ref, abs=1e-10)
 
     def test_sow_below_sl(self):
         # SNR_ZF-DFE < SNR_DFE-U on a real ISI channel
         ss = spectral_summary(channel_b(), 10.0)
         assert ss.snr_zf_dfe < ss.snr_dfe - 1.0
-        assert i_sow(channel_b(), bpsk(), 10.0) < i_sl(channel_b(), bpsk(), 10.0)
+        d = design_mmse_dfe(channel_b(), bpsk(), 10.0)
+        assert i_sow(channel_b(), bpsk(), 10.0) < i_sl(d, bpsk())
 
     def test_sow_finite_with_spectral_null(self):
         ch = ChannelResponse((math.sqrt(0.5), math.sqrt(0.5)))
@@ -84,17 +82,18 @@ class TestImmseExact:
         mc = i_mmse_mc(d, bpsk(), 100_000, seed=5)
         assert abs(ex.value - mc.value) <= 3.0 * mc.std_error
 
-    def test_budget_exceeded_uniform_weights(self):
+    def test_budget_exceeded_uniform_weights(self, monkeypatch):
+        monkeypatch.setattr(isirate.bounds, "_BUDGET", 2**12)
         d = design_mmse_dfe(jeong(), bpsk(), 10 ** (0.5))
         with pytest.raises(BudgetExceeded):
-            i_mmse_exact(d, bpsk(), budget=2**12)
+            i_mmse_exact(d, bpsk())
 
     def test_reference_sign_skewed_low_snr(self):
         # in the low-SNR regime I_MMSE falls below I_SL for skewed input
         x = make_skewed_binary(0.002)
         rho = 10 ** (-2.0)
         d = design_mmse_dfe(channel_b(), x, rho)
-        gap = i_mmse_exact(d, x).value - i_sl(channel_b(), x, rho)
+        gap = i_mmse_exact(d, x).value - i_sl(d, x)
         assert gap < 0.0
 
     def test_pruning_accounting(self):
@@ -217,36 +216,31 @@ class TestSampleIndices:
 class TestGapSeries:
     def test_gaussian_moments_vanish(self):
         d = design_mmse_dfe(channel_b(), bpsk(), 0.01)
-        summ = summarize(d, bpsk())
 
         class GaussianMoments:
             skewness = 0.0
             excess_kurtosis = 0.0
 
-        assert slc_gap_series(summ, GaussianMoments) == 0.0
+        assert slc_gap_series(d, GaussianMoments) == 0.0
 
     def test_zero_skew_reduces_to_quartic(self):
         x = make_trinary(0.01)
         d = design_mmse_dfe(channel_b(), x, 0.01)
-        summ = summarize(d, x)
-        expected = -(
-            summ.delta1_4 * x.excess_kurtosis**2 / (24.0 * summ.beta0_sq**4)
-        ) * summ.eps0**4
-        assert slc_gap_series(summ, x) == pytest.approx(expected, rel=1e-12)
+        expected = -(d.delta1_4 * x.excess_kurtosis**2 / (24.0 * d.beta0_sq**4)) * d.eps0**4
+        assert slc_gap_series(d, x) == pytest.approx(expected, rel=1e-12)
 
     def test_full_moment_expansion_oracle(self):
         # independent oracle: assemble the gap from the two channel-pair
         # expansions with the mixed-moment identities, not the collapsed form
         x = make_skewed_binary(0.002)
         d = design_mmse_dfe(channel_b(), x, 0.005)
-        summ = summarize(d, x)
         s_x, k_x = x.skewness, x.excess_kurtosis
-        b0, b1 = summ.beta0_sq, summ.beta1_sq
-        g0 = 1.0 + summ.gamma1_cu
-        g1 = summ.gamma1_cu
-        d0 = 1.0 + summ.delta1_4
-        d1 = summ.delta1_4
-        e0, e1 = summ.eps0, summ.eps1
+        b0, b1 = d.beta0_sq, d.beta1_sq
+        g0 = 1.0 + d.gamma1_cu
+        g1 = d.gamma1_cu
+        d0 = 1.0 + d.delta1_4
+        d1 = d.delta1_4
+        e0, e1 = d.eps0, d.eps1
 
         def expansion_diff(eps, s_true, k_true, s_gauss, k_gauss):
             cubic = -(eps**3 / 12.0 - eps**4 / 4.0) * (s_true**2 - s_gauss**2)
@@ -262,7 +256,7 @@ class TestGapSeries:
         )
         delta1 = expansion_diff(e1, g1 * s_x / b1**1.5, d1 * k_x / b1**2, 0.0, 0.0)
         oracle = delta0 - delta1
-        got = slc_gap_series(summ, x)
+        got = slc_gap_series(d, x)
         # the collapsed form drops the eps^5+ cross terms of the assembly
         assert got == pytest.approx(oracle, rel=2e-2)
 
@@ -270,8 +264,8 @@ class TestGapSeries:
         x = make_trinary(0.01)
         rho = 10 ** (-2.3)
         d = design_mmse_dfe(channel_b(), x, rho)
-        gap = i_mmse_exact(d, x).value - i_sl(channel_b(), x, rho)
-        series = slc_gap_series(summarize(d, x), x)
+        gap = i_mmse_exact(d, x).value - i_sl(d, x)
+        series = slc_gap_series(d, x)
         assert gap < 0.0
         assert abs(series - gap) <= 0.2 * abs(gap)
 
@@ -292,7 +286,7 @@ class TestTwoTapLeading:
 
         def gap(rho):
             d = design_mmse_dfe(ch, x, rho)
-            return i_mmse_exact(d, x).value - i_sl(ch, x, rho)
+            return i_mmse_exact(d, x).value - i_sl(d, x)
 
         rho = 2e-3
         f1 = gap(rho) / rho**3
@@ -371,113 +365,115 @@ class TestGenieBound:
 
 class TestIeBounds:
     def test_simple_is_corner_point(self):
-        cf = design_summary(jeong(), bpsk(), 1.0)
-        val = ie_bound(jeong(), bpsk(), 1.0, cf.S, cf.S)
-        assert val == pytest.approx(ie_simple(jeong(), bpsk(), 1.0), abs=1e-12)
+        d = design_mmse_dfe(jeong(), bpsk(), 1.0)
+        val = ie_bound(d, bpsk(), d.S, d.S)
+        assert val == pytest.approx(ie_simple(d, bpsk()), abs=1e-12)
 
     def test_gaussian_equality(self):
         # with Gaussian inputs the simple bound meets the Gaussian rate
-        cf = design_summary(jeong(), bpsk(), 1.0)
+        d = design_mmse_dfe(jeong(), bpsk(), 1.0)
         rate, _, _ = quadrature_summary(jeong(), 1.0)
-        lhs = 0.5 * math.log1p(cf.beta0_sq * cf.S) - 0.5 * math.log1p(cf.beta1_sq * cf.S)
+        lhs = 0.5 * math.log1p(d.eps0) - 0.5 * math.log1p(d.eps1)
         assert lhs == pytest.approx(0.5 * rate, abs=1e-12)
 
     def test_opt_dominates_feasible_points(self, rng):
         rho = 10 ** (0.9)
-        cf = design_summary(jeong(), bpsk(), rho)
-        opt, g1, g2 = ie_opt(jeong(), bpsk(), rho)
-        assert 0.0 <= g1 <= g2 <= cf.S * (1 + 1e-12)
+        d = design_mmse_dfe(jeong(), bpsk(), rho)
+        opt, g1, g2 = ie_opt(d, bpsk())
+        assert 0.0 <= g1 <= g2 <= d.S * (1 + 1e-12)
         for _ in range(100):
-            a, b = np.sort(rng.uniform(0.0, cf.S, 2))
-            assert opt >= ie_bound(jeong(), bpsk(), rho, float(a), float(b)) - 1e-9
+            a, b = np.sort(rng.uniform(0.0, d.S, 2))
+            assert opt >= ie_bound(d, bpsk(), float(a), float(b)) - 1e-9
 
     @pytest.mark.parametrize("ch,snr_db", [(jeong(), 0.0), (channel_b(), 6.0)])
     def test_opt_gamma1_best_below_gamma2(self, ch, snr_db):
         # skewed inputs: b0^2 mmse(b0^2 g) - mmse(g) changes sign many times
         # above its first root, so gamma1* is sought below gamma2* only
         x = make_skewed_binary(0.002)
-        rho = 10 ** (snr_db / 10)
-        opt, g1, g2 = ie_opt(ch, x, rho)
+        d = design_mmse_dfe(ch, x, 10 ** (snr_db / 10))
+        opt, g1, g2 = ie_opt(d, x)
         assert 0.0 < g1 < g2
         for g in np.geomspace(1e-6 * g2, g2, 60):
-            assert opt >= ie_bound(ch, x, rho, float(g), g2) - 1e-12
+            assert opt >= ie_bound(d, x, float(g), g2) - 1e-12
 
     def test_opt_bracket_failure_falls_back_to_grid(self):
         # beta1_sq > 1: mmse(g) - b1/(1 + b1 g) has no sign change
         x = make_skewed_binary(0.002)
+        d = design_mmse_dfe(jeong(), x, 0.1)
         with pytest.warns(UserWarning, match="grid search"):
-            opt, g1, g2 = ie_opt(jeong(), x, 0.1)
-        assert opt >= ie_simple(jeong(), x, 0.1)
+            opt, g1, g2 = ie_opt(d, x)
+        assert opt >= ie_simple(d, x)
         assert 0.0 <= g1 <= g2
         # the simple point is negative here, and the joint grid optimum on
         # the diagonal beats the trivial point's 0
         assert all(type(v) is float for v in (opt, g1, g2))
         assert opt == pytest.approx(0.002908, abs=1e-6)
-        assert opt == pytest.approx(ie_bound(jeong(), x, 0.1, g1, g2), abs=1e-15)
+        assert opt == pytest.approx(ie_bound(d, x, g1, g2), abs=1e-15)
 
     def test_opt_grid_fallback_is_joint_over_g1_below_g2(self):
         # with b1 > 1 the separate argmaxes of T1 and T2 clip off the
         # diagonal, where ie_bound(g, g) reaches 0.02064 at g = 0.0714
         x = make_trinary(0.01)
+        d = design_mmse_dfe(jeong(), x, 0.1)
         with pytest.warns(UserWarning, match="grid search"):
-            opt, g1, g2 = ie_opt(jeong(), x, 0.1)
+            opt, g1, g2 = ie_opt(d, x)
         assert 0.0 <= g1 <= g2
-        assert opt >= ie_bound(jeong(), x, 0.1, 0.0714, 0.0714) > 0.0206
-        assert opt == pytest.approx(ie_bound(jeong(), x, 0.1, g1, g2), abs=1e-15)
+        assert opt >= ie_bound(d, x, 0.0714, 0.0714) > 0.0206
+        assert opt == pytest.approx(ie_bound(d, x, g1, g2), abs=1e-15)
 
     def test_opt_not_below_trivial_point(self):
         # ie_bound(0, 0) = 0, and an interior point does better still; the
         # simple point (S, S) is -0.0689 nats here
         x = make_skewed_binary(0.002)
-        opt, g1, g2 = ie_opt(channel_b(), x, 1.0)
-        assert ie_simple(channel_b(), x, 1.0) < 0.0
-        assert opt >= ie_bound(channel_b(), x, 1.0, 0.0216, 0.0437) > 0.0
-        assert opt == pytest.approx(ie_bound(channel_b(), x, 1.0, g1, g2), abs=1e-15)
+        d = design_mmse_dfe(channel_b(), x, 1.0)
+        opt, g1, g2 = ie_opt(d, x)
+        assert ie_simple(d, x) < 0.0
+        assert opt >= ie_bound(d, x, 0.0216, 0.0437) > 0.0
+        assert opt == pytest.approx(ie_bound(d, x, g1, g2), abs=1e-15)
 
     @pytest.mark.parametrize("ch,g1,g2", [(channel_b(), 0.17, 0.73), (jeong(), 0.168, 0.438)], ids=["channel_b", "jeong"])
     def test_opt_not_stopped_by_mmse_round_off(self, ch, g1, g2):
         # at 15 dB mmse(S) and b0 mmse(b0 S) of trinary(0.01) are ~1e-15, so
         # comparing the two alone cannot show (S, S) to be the optimum
         x = make_trinary(0.01)
-        rho = 10**1.5
-        opt, _, _ = ie_opt(ch, x, rho)
-        assert opt >= ie_bound(ch, x, rho, g1, g2) > 0.08
+        d = design_mmse_dfe(ch, x, 10**1.5)
+        opt, _, _ = ie_opt(d, x)
+        assert opt >= ie_bound(d, x, g1, g2) > 0.08
 
 
     def test_opt_at_least_simple(self):
         for snr_db in (-6.0, 0.0, 6.0, 12.0):
-            rho = 10 ** (snr_db / 10)
-            opt, _, _ = ie_opt(jeong(), bpsk(), rho)
-            assert opt >= ie_simple(jeong(), bpsk(), rho) - 1e-12
+            d = design_mmse_dfe(jeong(), bpsk(), 10 ** (snr_db / 10))
+            opt, _, _ = ie_opt(d, bpsk())
+            assert opt >= ie_simple(d, bpsk()) - 1e-12
         # and at least the trivial point's 0, for skewed inputs too
         for ch in (channel_b(), jeong(), two_tap_channel(0.6)):
             for x in (bpsk(), make_skewed_binary(0.002), make_trinary(0.01)):
                 for snr_db in (0.0, 15.0, 30.0):
-                    rho = 10 ** (snr_db / 10)
-                    opt, g1, g2 = ie_opt(ch, x, rho)
-                    assert opt >= max(ie_simple(ch, x, rho), 0.0), (ch.taps, snr_db)
+                    d = design_mmse_dfe(ch, x, 10 ** (snr_db / 10))
+                    opt, g1, g2 = ie_opt(d, x)
+                    assert opt >= max(ie_simple(d, x), 0.0), (ch.taps, snr_db)
                     assert 0.0 <= g1 <= g2, (ch.taps, snr_db)
 
     def test_conj_at_least_simple(self):
         # I_x <= Gaussian rate pointwise makes the conjectured form tighter
-        val_c = ie_conj(jeong(), bpsk(), 2.0)
-        val_s = ie_simple(jeong(), bpsk(), 2.0)
+        d = design_mmse_dfe(jeong(), bpsk(), 2.0)
+        val_c = ie_conj(d, bpsk())
+        val_s = ie_simple(d, bpsk())
         assert val_c >= val_s - 1e-12
 
     def test_feasibility_validation(self):
-        cf = design_summary(jeong(), bpsk(), 1.0)
+        d = design_mmse_dfe(jeong(), bpsk(), 1.0)
         with pytest.raises(DomainError):
-            ie_bound(jeong(), bpsk(), 1.0, cf.S, cf.S / 2)
+            ie_bound(d, bpsk(), d.S, d.S / 2)
 
     def test_low_snr_gaussian_tightness(self):
         # (ie_simple - Gaussian-input value)/rho -> 0
         rel = []
         for rho in (1e-2, 1e-3):
-            cf = design_summary(jeong(), bpsk(), rho)
-            gauss = 0.5 * math.log1p(cf.beta0_sq * cf.S) - 0.5 * math.log1p(
-                cf.beta1_sq * cf.S
-            )
-            rel.append((gauss - ie_simple(jeong(), bpsk(), rho)) / rho)
+            d = design_mmse_dfe(jeong(), bpsk(), rho)
+            gauss = 0.5 * math.log1p(d.eps0) - 0.5 * math.log1p(d.eps1)
+            rel.append((gauss - ie_simple(d, bpsk())) / rho)
         assert abs(rel[1]) < abs(rel[0])
         assert abs(rel[1]) < 1e-3
 
@@ -494,11 +490,17 @@ class TestBoundReport:
         for val in (rep.i_sow, rep.i_sl, rep.ie_simple, rep.ie_opt, rep.ie_conj):
             assert 0.0 <= val <= cap
 
-    def test_auto_dispatch(self):
-        rep = bound_report(two_tap_channel(0.6), bpsk(), 0.5, i_mmse_method="auto")
-        assert rep.i_mmse_method == "exact"
-        rep = bound_report(jeong(), bpsk(), 2.0, i_mmse_method="auto", n_samples=20_000)
-        assert rep.i_mmse_method == "mc"
+    def test_exact_over_budget_raises(self):
+        # this mixture outgrows 2^24 components: the route asked for is the
+        # route taken, so there is no Monte-Carlo value to fall back on
+        x = make_skewed_binary(0.002)
+        with pytest.raises(BudgetExceeded):
+            bound_report(jeong(), x, 10**-0.4, i_mmse_method="exact")
+
+    @pytest.mark.parametrize("method", ["auto", "MC", "", None])
+    def test_unknown_method_raises(self, method):
+        with pytest.raises(DomainError):
+            bound_report(channel_b(), bpsk(), 1.0, i_mmse_method=method)
 
     def test_gap_series_included(self):
         rep = bound_report(

@@ -1,6 +1,7 @@
 """Channel model and spectral summaries."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -213,3 +214,17 @@ class TestMinimumPhase:
             assert to_minimum_phase(ch).energy() == pytest.approx(
                 ch.energy(), rel=1e-12
             )
+
+    def test_trailing_zero_tap(self):
+        # the zero tap puts a root at z = 0, which stays inside and must not
+        # be reflected to 1/conj(0); the root at z = -1 is a spectral null
+        ch = ChannelResponse((0.7071, 0.7071, 0.0))
+        theta = np.linspace(-np.pi, np.pi, 257)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mp = to_minimum_phase(ch)
+            ss = spectral_summary(ch, 2.0)
+        assert np.allclose(transfer_power(mp, theta), transfer_power(ch, theta), atol=1e-12)
+        assert ss.g_zf_le == 0.0
+        assert ss.g_zf_dfe == pytest.approx(0.7071**2, rel=1e-12)
+        assert ss.snr_le < ss.snr_dfe

@@ -5,8 +5,10 @@ import math
 
 import pytest
 
+import isirate.cli
 from isirate.cli import main, parse_channel, parse_snr_grid
 from isirate.errors import DomainError
+from isirate.montecarlo import RateEstimate
 from isirate.scalar import mutual_info, parse_input_spec
 from isirate.channel import spectral_summary
 
@@ -138,6 +140,37 @@ class TestSubcommands:
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes() == c.read_bytes()
 
+    def test_bounds_stdout_negative_grid(self, capsys):
+        code = main(
+            ["bounds", "--channel", "channel_b", "--input", "bpsk", "--snr-db=-10:0:10", "--i-mmse", "none"]
+        )
+        assert code == 0
+        header, *rows = capsys.readouterr().out.strip().splitlines()
+        assert header.startswith("snr_db,rho,")
+        assert [float(r.split(",")[0]) for r in rows] == [-10.0, 0.0]
+
+    @pytest.mark.parametrize("command", ["bounds", "highsnr-probe"])
+    def test_snr_grid_help_shows_equals_form(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert "--snr-db=-10:0:10" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("extra", [[], ["--i-mmse", "auto"]], ids=["missing", "auto"])
+    def test_bounds_needs_an_i_mmse_route(self, extra, capsys):
+        args = ["bounds", "--channel", "channel_b", "--input", "bpsk", "--snr-db", "0"]
+        with pytest.raises(SystemExit) as exc:
+            main(args + extra)
+        assert exc.value.code == 2
+        assert "--i-mmse" in capsys.readouterr().err
+
+    def test_bounds_exact_over_budget_exits_3(self, capsys):
+        args = ["bounds", "--channel", "jeong", "--input", "bpsk", "--snr-db", "10", "--i-mmse", "exact"]
+        assert main(args) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "components" in captured.err
+
     def test_simulate(self, capsys, tmp_path):
         per_seed = tmp_path / "seeds.csv"
         code = main(
@@ -203,6 +236,27 @@ class TestSubcommands:
         # every gap on this low-SNR grid is negative
         gaps = [float(r.split(",")[2]) for r in csv[1:]]
         assert all(g < 0 for g in gaps)
+
+    @pytest.mark.parametrize("name,method", [("fig2a", "mc"), ("fig2b", "exact")])
+    def test_figure_fig2_route(self, name, method, tmp_path, monkeypatch, capsys):
+        # the route is fixed per figure and recorded; the simulation and the
+        # I_MMSE evaluation are stubbed, only the wiring is under test
+        routes = []
+        report = isirate.cli.bound_report
+
+        def fake_report(ch, x, rho, i_mmse_method, **kwargs):
+            routes.append(i_mmse_method)
+            return report(ch, x, rho, i_mmse_method="none")
+
+        def fake_rate(*args):
+            return RateEstimate(value=0.0, std_error=0.0, n_samples=1, n_seeds=1, seeds=((0, 0),))
+
+        monkeypatch.setattr(isirate.cli, "bound_report", fake_report)
+        monkeypatch.setattr(isirate.cli, "estimate_rate", fake_rate)
+        assert main(["figure", name, "--out-dir", str(tmp_path)]) == 0
+        assert routes and set(routes) == {method}
+        manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+        assert manifest["i_mmse_method"] == method
 
     def test_exit_code_config_error(self, capsys):
         assert main(["analyze", "--channel", "[0, 0]", "--snr-db", "0"]) == 2

@@ -20,7 +20,6 @@ from isirate.bounds import bound_report
 from isirate.equalizer import (
     _truncate,
     design_mmse_dfe,
-    summarize,
     two_tap_residual,
 )
 from isirate.errors import BudgetExceeded, DomainError, RootFindingFailure
@@ -79,10 +78,10 @@ class TestTrivialChannel:
         assert d.snr_unbiased == pytest.approx(2.5, rel=1e-12)
 
     def test_closed_form_flat(self):
-        summ = summarize(design_mmse_dfe(ChannelResponse((1.0,)), bpsk(), 2.5), bpsk())
-        assert summ.beta1_sq == 0.0
-        assert summ.S == pytest.approx(2.5, rel=1e-12)
-        assert summ.eps0 == pytest.approx(2.5, rel=1e-12)
+        d = design_mmse_dfe(ChannelResponse((1.0,)), bpsk(), 2.5)
+        assert d.beta1_sq == 0.0
+        assert d.S == pytest.approx(2.5, rel=1e-12)
+        assert d.eps0 == pytest.approx(2.5, rel=1e-12)
 
 
 class TestTwoTapClosedForm:
@@ -105,8 +104,7 @@ class TestTwoTapClosedForm:
         # sum alpha^3 -> q^3 (1-q^2)^{3/2} as rho -> 0
         q = 0.6
         d = design_mmse_dfe(two_tap_channel(q), bpsk(), 1e-4)
-        summ = summarize(d, bpsk())
-        assert summ.gamma1_cu == pytest.approx(q**3 * (1 - q * q) ** 1.5, rel=1e-3)
+        assert d.gamma1_cu == pytest.approx(q**3 * (1 - q * q) ** 1.5, rel=1e-3)
 
 
 class TestTruncationRule:
@@ -139,7 +137,7 @@ class TestAppendixIdentities:
 
     def test_channel_b(self):
         x = bpsk()
-        tap = summarize(design_mmse_dfe(channel_b(), x, 1.0), x)
+        tap = design_mmse_dfe(channel_b(), x, 1.0)
         _, beta1_sq, s = quadrature_summary(channel_b(), 1.0)
         assert tap.beta1_sq == pytest.approx(beta1_sq, rel=1e-9)
         assert tap.S == pytest.approx(s, rel=1e-9)
@@ -156,7 +154,7 @@ class TestAppendixIdentities:
         # (1/2)log(1+b0 S) - (1/2)log(1+b1 S) equals half the Gaussian rate
         for _ in range(5):
             ch = random_unit_channel(rng)
-            tap = summarize(design_mmse_dfe(ch, bpsk(), 1.7), bpsk())
+            tap = design_mmse_dfe(ch, bpsk(), 1.7)
             rate, _, _ = quadrature_summary(ch, 1.7)
             lhs = 0.5 * math.log1p(tap.beta0_sq * tap.S) - 0.5 * math.log1p(
                 tap.beta1_sq * tap.S
@@ -168,7 +166,7 @@ class TestAppendixIdentities:
         for _ in range(8):
             ch = random_unit_channel(rng)
             for rho in (0.1, 10.0):
-                tap = summarize(design_mmse_dfe(ch, x, rho), x)
+                tap = design_mmse_dfe(ch, x, rho)
                 _, beta1_sq, s = quadrature_summary(ch, rho)
                 assert abs(tap.beta1_sq - beta1_sq) <= 1e-9 * max(beta1_sq, 1e-6), ch.taps
                 assert tap.S == pytest.approx(s, rel=1e-9), ch.taps
@@ -183,7 +181,7 @@ class TestAppendixIdentities:
         m1 = float(np.mean(power))
         var = float(np.mean(power**2)) - m1 * m1
         beta1_0 = var / (2 * m1 * m1)
-        tap = summarize(design_mmse_dfe(channel_b(), bpsk(), rho), bpsk())
+        tap = design_mmse_dfe(channel_b(), bpsk(), rho)
         assert tap.S == pytest.approx(m1 * rho, rel=1e-3)
         assert tap.beta1_sq == pytest.approx(beta1_0, rel=1e-3)
         assert tap.eps0 == pytest.approx(m1 * rho * (1.0 + beta1_0), rel=1e-3)
@@ -217,14 +215,16 @@ class TestDenseOracle:
 
     @pytest.mark.parametrize("ch", [channel_b(), jeong(), jeong_spaced()], ids=["channel_b", "jeong", "jeong_spaced"])
     def test_bound_report_beta1_sq_at_minus_40_db(self, ch, monkeypatch):
-        # the summary every IE bound of bound_report reads; a route through
-        # snr_dfe/snr_le - 1 loses ~1e-8 of beta1_sq to cancellation here
+        # the design every IE bound of bound_report reads, once per report;
+        # a route through snr_dfe/snr_le - 1 loses ~1e-8 of beta1_sq to
+        # cancellation here
         seen = []
-        core = isirate.bounds._ie_opt
-        monkeypatch.setattr(isirate.bounds, "_ie_opt", lambda cf, x: seen.append(cf) or core(cf, x))
+        opt = isirate.bounds.ie_opt
+        monkeypatch.setattr(isirate.bounds, "ie_opt", lambda d, x: seen.append(d) or opt(d, x))
         x = make_skewed_binary(0.002)
         rho = 1e-4
         bound_report(ch, x, rho, i_mmse_method="none")
+        assert len(seen) == 1
         d = design_mmse_dfe(ch, x, rho)
         alpha, em2 = _solve_ff(np.asarray(ch.taps), x.power, x.power / rho, 2 * d.residual.size + 64)
         assert seen[0].beta1_sq == pytest.approx(float(alpha @ alpha), rel=1e-10)
@@ -277,16 +277,15 @@ class TestClosedFormFlatChannel:
         for ch in channels:
             for db in np.arange(-40.0, 46.0, 5.0):
                 d = design_mmse_dfe(ch, bpsk(), 10 ** (db / 10))
-                tap = summarize(d, bpsk())
-                assert tap.beta1_sq >= 0.0, (ch.taps, db)
-                assert tap.eps0 == (1.0 + tap.beta1_sq) * tap.S
-                assert tap.eps1 == tap.beta1_sq * tap.S
-                rate = math.log1p(tap.S / (1.0 + tap.beta1_sq * tap.S))
+                assert d.beta1_sq >= 0.0, (ch.taps, db)
+                assert d.eps0 == (1.0 + d.beta1_sq) * d.S
+                assert d.eps1 == d.beta1_sq * d.S
+                rate = math.log1p(d.S / (1.0 + d.beta1_sq * d.S))
                 assert rate == pytest.approx(d.gaussian_rate, rel=1e-9), (ch.taps, db)
 
     @pytest.mark.parametrize("db", [-40.0, 30.0, 45.0])
     def test_flat_summary(self, db):
         rho = 10 ** (db / 10)
-        tap = summarize(design_mmse_dfe(ChannelResponse((1.0,)), bpsk(), rho), bpsk())
+        tap = design_mmse_dfe(ChannelResponse((1.0,)), bpsk(), rho)
         assert tap.beta1_sq == 0.0
         assert tap.S == pytest.approx(rho, rel=1e-12)
