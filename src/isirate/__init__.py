@@ -23,7 +23,6 @@ from .scalar import (
     mmse,
     mmse_binary,
     mutual_info,
-    q_integral,
     q_tail,
 )
 from .equalizer import (
@@ -56,8 +55,6 @@ from .highsnr import (
     crossover_probe,
     delta_min_sq,
     exponent_gap,
-    fano_forney_upper,
-    sl_gap_lower,
 )
 from .montecarlo import RateEstimate
 

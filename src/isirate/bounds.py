@@ -24,15 +24,9 @@ from scipy.optimize import brentq
 
 from .channel import ChannelResponse, log_mean_spectrum
 from .equalizer import DfeDesign, design_mmse_dfe
-from .errors import (
-    BudgetExceeded,
-    DomainError,
-    NonConvergent,
-    NormalizationViolated,
-    PartitionInvalid,
-)
+from .errors import BudgetExceeded, DomainError, NonConvergent
 from .gaussmix import consolidate_atoms, mixture_entropy
-from .montecarlo import RateEstimate, stream_rng
+from .montecarlo import RateEstimate, _sample_indices, stream_rng
 from .scalar import InputDistribution, discrete_mmse, mmse, mutual_info
 
 _HALF_LOG_2PIE = 0.5 * math.log(2.0 * math.pi * math.e)
@@ -81,13 +75,23 @@ def _enumerate_mixture(
 
     Lowest-weight components are dropped, never exceeding ``mass_budget``
     in total; if the survivors still exceed ``budget`` the enumeration is
-    abandoned.
+    abandoned. It is refused before it starts when even dropping the
+    lightest patterns cannot fit: every final pattern not kept costs at
+    least p_min^N of dropped mass (a dropped prefix of weight w removes
+    |A|^(N-i) patterns, and w / |A|^(N-i) >= p_min^N as p_min <= 1/|A|).
     """
+    n_atoms = atoms.size
+    n_steps = taps.size
+    message = f"mixture needs more than {budget} components; use the mc I_MMSE route"
+    log_patterns = n_steps * math.log(n_atoms)
+    if log_patterns > math.log(budget):
+        # log((|A|^N - budget) p_min^N) against log(mass_budget)
+        log_excess = log_patterns + math.log1p(-math.exp(math.log(budget) - log_patterns))
+        if log_excess + n_steps * math.log(probs.min()) > math.log(mass_budget):
+            raise BudgetExceeded(message)
     means = np.zeros(1)
     w = np.ones(1)
     dropped = 0.0
-    n_atoms = atoms.size
-    n_steps = taps.size
 
     def prune(means, w, dropped, max_keep, step_mass):
         """Drop the lightest components, spending at most step_mass of weight."""
@@ -98,9 +102,7 @@ def _enumerate_mixture(
         allowed = int(np.searchsorted(cum, step_mass, side="right"))
         need = max(0, means.size - max_keep)
         if allowed < need:
-            raise BudgetExceeded(
-                f"mixture needs more than {budget} components; use the mc I_MMSE route"
-            )
+            raise BudgetExceeded(message)
         k = max(need, allowed)
         if k == 0:
             return means, w, dropped
@@ -156,21 +158,24 @@ def i_mmse_exact(design: DfeDesign, x: InputDistribution) -> ImmseExact:
 
 # Elements of one block of per-tap factors in _char_fn (2 MB of float64).
 _CF_BLOCK = 2**18
+# FFT grid points per noise sigma, and the padding in sigmas on each side
+_GRID_PPS = 32
+_GRID_PAD = 16.0
 
 
-def _fft_grid(taps, atoms, sigma: float, pps: int = 32, pad: float = 16.0):
+def _fft_grid(taps, atoms, sigma: float):
     """FFT grid (lo, dy, n) for y = sum_k t_k x_k + sigma N.
 
-    It spans the support of the noiseless sum padded by ``pad`` sigma on
-    each side, with n a power of two (at least 512) and dy <= sigma/pps;
-    raises BudgetExceeded beyond 2^22 points.
+    It spans the support of the noiseless sum padded by _GRID_PAD sigma on
+    each side, with n a power of two (at least 512) and
+    dy <= sigma/_GRID_PPS; raises BudgetExceeded beyond 2^22 points.
     """
     per_tap = np.multiply.outer(np.asarray(taps, dtype=float), atoms)
     lo = float(per_tap.min(axis=1).sum()) if per_tap.size else 0.0
     hi = float(per_tap.max(axis=1).sum()) if per_tap.size else 0.0
-    lo -= pad * sigma
-    hi += pad * sigma
-    n = 1 << max(9, int(np.ceil(np.log2((hi - lo) / (sigma / pps)))))
+    lo -= _GRID_PAD * sigma
+    hi += _GRID_PAD * sigma
+    n = 1 << max(9, int(np.ceil(np.log2((hi - lo) / (sigma / _GRID_PPS)))))
     if n > 1 << 22:
         raise BudgetExceeded("density grid too large")
     return lo, (hi - lo) / n, n
@@ -250,19 +255,6 @@ def _density_tables(taps1, atoms, probs, sigma: float):
     phi1 = _char_fn(taps1, atoms, probs, sigma, omega)
     phi0 = phi1 * _char_fn(np.ones(1), atoms, probs, 0.0, omega)
     return _LogDensityTable(lo, dy, n, phi0), _LogDensityTable(lo, dy, n, phi1)
-
-
-def _sample_indices(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
-    """Atom indices of uniforms u under the cumulative probabilities cum.
-
-    Counts the entries of cum[:-1] below u: searchsorted(cum, u) bit for
-    bit, except that a u above a rounded cum[-1] < 1 maps to the last atom
-    instead of one past it.
-    """
-    idx = np.zeros(u.shape, dtype=np.min_scalar_type(cum.size - 1))
-    for c in cum[:-1]:
-        idx += u > c
-    return idx
 
 
 def i_mmse_mc(
@@ -359,17 +351,17 @@ def genie_mmse_lower(
     """
     a = np.asarray(coeffs, dtype=float)
     if abs(float(a @ a) - 1.0) > 1e-9:
-        raise NormalizationViolated("coefficients must satisfy sum a_k^2 = 1")
+        raise DomainError("coefficients must satisfy sum a_k^2 = 1")
     blocks = [np.asarray(b, dtype=int) for b in partition]
     flat = np.concatenate(blocks) if blocks else np.zeros(0, dtype=int)
     if sorted(flat.tolist()) != list(range(a.size)):
-        raise PartitionInvalid("partition must cover each tap index exactly once")
+        raise DomainError("partition must cover each tap index exactly once")
     sig2 = np.asarray(sigmas, dtype=float) ** 2
     if sig2.size != len(blocks) or np.any(sig2 < 0.0):
-        raise PartitionInvalid("one sigma per block, all nonnegative")
+        raise DomainError("one sigma per block, all nonnegative")
     b_sq = np.array([float(a[blk] @ a[blk]) for blk in blocks])
     if abs(float(b_sq @ sig2) - 1.0) > 1e-9:
-        raise NormalizationViolated("noise split must satisfy sum b_m^2 sigma_m^2 = 1")
+        raise DomainError("noise split must satisfy sum b_m^2 sigma_m^2 = 1")
     xbar = x.normalized_atoms
     probs = np.asarray(x.probs)
     bound = 0.0

@@ -18,24 +18,8 @@ class RootFindingFailure(IsirateError):
 
 
 class BudgetExceeded(IsirateError):
-    """An exact mixture enumeration or a DFE impulse response would exceed
-    its size budget."""
-
-
-class PartitionInvalid(IsirateError, ValueError):
-    """A genie partition does not cover the tap indices exactly once."""
-
-
-class NormalizationViolated(IsirateError, ValueError):
-    """Genie coefficients or noise-split weights are not normalized."""
-
-
-class SnrTooLow(IsirateError, ValueError):
-    """The high-SNR bound chain is not valid at the requested SNR."""
-
-
-class StateBudgetExceeded(IsirateError, ValueError):
-    """The trellis state space exceeds the configured budget."""
+    """An exact mixture enumeration, a DFE impulse response or a trellis
+    state space would exceed its size budget."""
 
 
 class InconclusiveSearch(IsirateError):

@@ -156,8 +156,6 @@ def mixture_conditional_second_moment(values, weights, gamma: float) -> float:
     """
     vals = np.asarray(values, dtype=float).ravel()
     wts = np.asarray(weights, dtype=float).ravel()
-    if gamma == 0.0:
-        return float((vals * wts).sum()) ** 2
     second, _ = _mixture_integral(
         np.sqrt(gamma) * vals, wts, 1.0, lambda p, num: num * num / p, _MOMENT_ABS_TOL, vals
     )

@@ -5,9 +5,11 @@ events, found by uniform-cost search on the finite error-state graph
 (state = last L-1 normalized error symbols). Accumulated distance is an
 admissible bound since every step cost is nonnegative, so the first
 settled goal is globally optimal; the result is certified whenever the
-search completes within its expansion guard. fano_forney_upper and
-sl_gap_lower evaluate the two sides of the high-SNR comparison: an upper
-bound on H(x_0) - achievable rate and a lower bound on H(x_0) - I_SL.
+search completes within its expansion guard. log_fano_forney_upper and
+log_sl_gap_lower evaluate the logs of the two sides of the high-SNR
+comparison, an upper bound on H(x_0) - achievable rate and a lower bound
+on H(x_0) - I_SL; crossover_probe compares them on an SNR grid from one
+certified search (exponent_gap) per channel and input.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .channel import (
     to_minimum_phase,
     transfer_power,
 )
-from .errors import DomainError, InconclusiveSearch, SnrTooLow
+from .errors import DomainError, InconclusiveSearch
 from .scalar import InputDistribution, binary_entropy, log_q_integral
 
 _NODE_GUARD = 2_000_000
@@ -150,7 +152,8 @@ def exponent_gap(
 ) -> ExponentGap:
     """Compare delta_min^2 with g_zf_dfe on the normalized min-phase channel.
 
-    strict requires a certified search and a margin above 1e-9.
+    Raises InconclusiveSearch unless the search is certified, so every gap
+    carries a certified delta_min^2. strict requires a margin above 1e-9.
     """
     ch = to_minimum_phase(channel.normalized())
     search = delta_min_sq(ch, x, max_len=max_len)
@@ -169,40 +172,22 @@ def _normalized_d_min(x: InputDistribution) -> float:
     return x.d_min / math.sqrt(x.power)
 
 
-def fano_forney_upper(
-    channel: ChannelResponse,
-    x: InputDistribution,
-    rho: float,
-    k_prime: float,
-    search: ErrorEventSearch | None = None,
-) -> float:
-    """Upper bound on H(x_0) - achievable rate, in nats, given the
-    sequence-detector error constant K'.
-
-    h2(P) + P log|X| with P = min(1/2, K' Q(sqrt(rho (d/2)^2 delta_min^2))).
-    """
-    return math.exp(log_fano_forney_upper(channel, x, rho, k_prime, search=search))
-
-
 def log_fano_forney_upper(
-    channel: ChannelResponse,
-    x: InputDistribution,
-    rho: float,
-    k_prime: float,
-    search: ErrorEventSearch | None = None,
+    gap: ExponentGap, x: InputDistribution, rho: float, k_prime: float
 ) -> float:
-    """log of fano_forney_upper, finite far past double-precision underflow."""
+    """log of an upper bound on H(x_0) - achievable rate (nats), given the
+    sequence-detector error constant K' and the certified gap of the channel.
+
+    The bound is h2(P) + P log|X| with
+    P = min(1/2, K' Q(sqrt(rho (d/2)^2 delta_min^2))); its log stays finite
+    far past double-precision underflow.
+    """
     if k_prime <= 0.0:
         raise DomainError("k_prime must be positive")
-    ch = to_minimum_phase(channel.normalized())
-    if search is None:
-        search = delta_min_sq(ch, x)
-    if not search.certified:
-        raise InconclusiveSearch("delta_min_sq is not certified")
     d_half_sq = (_normalized_d_min(x) / 2.0) ** 2
     log_p = min(
         math.log(0.5),
-        math.log(k_prime) + _log_q_tail(math.sqrt(rho * d_half_sq * search.delta_min_sq)),
+        math.log(k_prime) + _log_q_tail(math.sqrt(rho * d_half_sq * gap.delta_min_sq)),
     )
     log_n = math.log(len(x.atoms))
     if log_p >= math.log(1e-12):
@@ -270,7 +255,7 @@ def snr_dfe_upper_bound(channel: ChannelResponse, rho: float) -> float:
     if abs(channel.energy() - 1.0) > 1e-9:
         raise DomainError("snr_dfe_upper_bound expects a unit-energy channel")
     if 2.0 * math.sqrt(1.0 / rho) >= 1.0:
-        raise SnrTooLow("need 2 sqrt(N_0/P_x) < 1, i.e. rho > 4")
+        raise DomainError("need 2 sqrt(N_0/P_x) < 1, i.e. rho > 4")
     # both gains are free of rho: Jensen, and the inverse of min-phase H
     g = math.exp(log_mean_spectrum(channel))
     g_le = _zf_le_gain(channel)
@@ -283,20 +268,16 @@ def snr_dfe_upper_bound(channel: ChannelResponse, rho: float) -> float:
     return rho * g * (1.0 + threshold) * math.exp(c1 * math.sqrt(omega_frac))
 
 
-def sl_gap_lower(channel: ChannelResponse, x: InputDistribution, rho: float) -> float:
-    """Lower bound on H(x_0) - I_SL, in nats, valid for rho > 4.
-
-    Chains the MMSE genie bound through the equiprobable-pair reduction
-    and the Gaussian-tail integral, evaluated at an upper bound on the
-    unbiased DFE SNR.
-    """
-    return math.exp(log_sl_gap_lower(channel, x, rho))
-
-
 def log_sl_gap_lower(
     channel: ChannelResponse, x: InputDistribution, rho: float
 ) -> float:
-    """log of sl_gap_lower, finite far past double-precision underflow."""
+    """log of a lower bound on H(x_0) - I_SL, in nats, valid for rho > 4.
+
+    Chains the MMSE genie bound through the equiprobable-pair reduction
+    and the Gaussian-tail integral, evaluated at an upper bound on the
+    unbiased DFE SNR; the log stays finite far past double-precision
+    underflow.
+    """
     ch = channel.normalized()
     snr_u = snr_dfe_upper_bound(ch, rho) - 1.0
     d_half_sq = (_normalized_d_min(x) / 2.0) ** 2
@@ -308,8 +289,8 @@ def log_sl_gap_lower(
 @dataclass(frozen=True)
 class CrossoverRow:
     rho: float
-    log_upper: float | None  # log fano_forney_upper on H - rate
-    log_lower: float | None  # log sl_gap_lower on H - I_SL
+    log_upper: float | None  # log_fano_forney_upper on H - rate
+    log_lower: float | None  # log_sl_gap_lower on H - I_SL
     certifies: bool
 
 
@@ -329,10 +310,11 @@ def crossover_probe(
 
     A row certifies the rate >= I_SL comparison when the upper bound on
     H - rate falls below the lower bound on H - I_SL. Grid points with
-    rho <= 4 are reported as None (outside the bound's validity).
+    rho <= 4 are reported as None (outside the bound's validity). Raises
+    InconclusiveSearch, before any row, when the distance search is not
+    certified.
     """
-    ch = to_minimum_phase(channel.normalized())
-    search = delta_min_sq(ch, x)
+    gap = exponent_gap(channel, x)
     rows = []
     crossing = None
     for rho in rho_grid:
@@ -341,7 +323,7 @@ def crossover_probe(
                 CrossoverRow(rho=float(rho), log_upper=None, log_lower=None, certifies=False)
             )
             continue
-        log_upper = log_fano_forney_upper(channel, x, rho, k_prime, search=search)
+        log_upper = log_fano_forney_upper(gap, x, rho, k_prime)
         log_lower = log_sl_gap_lower(channel, x, rho)
         certifies = log_upper < log_lower
         if certifies and crossing is None:

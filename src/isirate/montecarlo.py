@@ -18,6 +18,19 @@ def stream_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed & _MASK64, stream & _MASK64]))
 
 
+def _sample_indices(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
+    """Atom indices of uniforms u under the cumulative probabilities cum.
+
+    Counts the entries of cum[:-1] below u: searchsorted(cum, u) bit for
+    bit, except that a u above a rounded cum[-1] < 1 maps to the last atom
+    instead of one past it.
+    """
+    idx = np.zeros(u.shape, dtype=np.min_scalar_type(cum.size - 1))
+    for c in cum[:-1]:
+        idx += u > c
+    return idx
+
+
 @dataclass(frozen=True)
 class RateEstimate:
     """Monte-Carlo estimate of a mutual-information rate, in nats.

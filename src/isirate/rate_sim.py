@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelResponse
-from .errors import DomainError, StateBudgetExceeded
-from .montecarlo import RateEstimate, stream_rng
+from .errors import BudgetExceeded, DomainError
+from .montecarlo import RateEstimate, _sample_indices, stream_rng
 from .scalar import InputDistribution
 
 _STATE_BUDGET = 1 << 20
@@ -57,7 +57,7 @@ def build_trellis(channel: ChannelResponse, x: InputDistribution) -> Trellis:
     memory = channel.length - 1
     n_states = n_atoms**memory
     if n_states * n_atoms > _STATE_BUDGET:
-        raise StateBudgetExceeded(
+        raise BudgetExceeded(
             f"{n_states} states x {n_atoms} inputs exceeds the budget"
         )
     states = np.arange(n_states)
@@ -250,7 +250,7 @@ def estimate_rate(
     cum = np.cumsum(trellis.probs)
     for s in range(n_seeds):
         rng = stream_rng(seed, s)
-        idx = np.searchsorted(cum, rng.random(n_symbols + memory))
+        idx = _sample_indices(rng.random(n_symbols + memory), cum)
         xs = trellis.atoms[idx]
         clean = np.convolve(xs, taps)[memory : memory + n_symbols]
         noise = math.sqrt(n0) * rng.standard_normal(n_symbols)

@@ -198,24 +198,12 @@ def q_tail(x) -> np.ndarray | float:
     return float(out) if np.ndim(x) == 0 else out
 
 
-def q_integral(s) -> np.ndarray | float:
-    """int_s^inf Q(sqrt(gamma)) dgamma, evaluated without cancellation.
+def log_q_integral(s: float) -> float:
+    """log of int_s^inf Q(sqrt(gamma)) dgamma, finite far past underflow.
 
     Closed form sqrt(s) e^{-s/2}/sqrt(2 pi) + (1-s) Q(sqrt(s)), rewritten
-    through the scaled complementary error function.
+    through the scaled complementary error function without cancellation.
     """
-    sv = np.asarray(s, dtype=float)
-    if np.any(sv < 0.0):
-        raise DomainError("s must be nonnegative")
-    bracket = np.sqrt(sv / (2.0 * math.pi)) + (1.0 - sv) * 0.5 * erfcx(
-        np.sqrt(0.5 * sv)
-    )
-    out = np.exp(-0.5 * sv) * bracket
-    return float(out) if np.ndim(s) == 0 else out
-
-
-def log_q_integral(s: float) -> float:
-    """log of q_integral(s); stays finite where q_integral underflows."""
     if s < 0.0:
         raise DomainError("s must be nonnegative")
     bracket = math.sqrt(s / (2.0 * math.pi)) + (1.0 - s) * 0.5 * erfcx(

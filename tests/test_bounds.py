@@ -1,6 +1,7 @@
 """Bound family: exact/MC I_MMSE, gap expansion, genie and IE bounds."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from isirate.bounds import (
     _fft_grid,
     _frequencies,
     _LogDensityTable,
-    _sample_indices,
     bound_report,
     genie_equal_sigma,
     genie_mmse_lower,
@@ -33,7 +33,8 @@ import isirate.bounds
 import isirate.channel
 from isirate.channel import ChannelResponse, channel_b, jeong, spectral_summary
 from isirate.equalizer import design_mmse_dfe
-from isirate.errors import BudgetExceeded, DomainError, NormalizationViolated, PartitionInvalid
+from isirate.errors import BudgetExceeded, DomainError
+from isirate.montecarlo import _sample_indices
 from isirate.scalar import (
     bpsk,
     discrete_mmse,
@@ -87,6 +88,19 @@ class TestImmseExact:
         d = design_mmse_dfe(jeong(), bpsk(), 10 ** (0.5))
         with pytest.raises(BudgetExceeded):
             i_mmse_exact(d, bpsk())
+
+    def test_impossible_uniform_budget_refused_before_enumerating(self):
+        # 121 equiprobable taps: 2^121 patterns, each of weight 2^-121, so
+        # no pruning within the mass budget fits 2^24 components
+        d = design_mmse_dfe(jeong(), bpsk(), 10.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded, match="components"):
+                i_mmse_exact(d, bpsk())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_reference_sign_skewed_low_snr(self):
         # in the low-SNR regime I_MMSE falls below I_SL for skewed input
@@ -355,11 +369,11 @@ class TestGenieBound:
         assert val == pytest.approx(mmse(x, 1.0), abs=1e-10)
 
     def test_validation(self):
-        with pytest.raises(NormalizationViolated):
+        with pytest.raises(DomainError):
             genie_mmse_lower(bpsk(), [1.0, 1.0], 1.0, [[0], [1]], [1.0, 1.0])
-        with pytest.raises(PartitionInvalid):
+        with pytest.raises(DomainError):
             genie_mmse_lower(bpsk(), [0.6, 0.8], 1.0, [[0]], [1.0])
-        with pytest.raises(NormalizationViolated):
+        with pytest.raises(DomainError):
             genie_mmse_lower(bpsk(), [0.6, 0.8], 1.0, [[0], [1]], [2.0, 2.0])
 
 

@@ -17,7 +17,8 @@ from isirate.channel import (
     to_minimum_phase,
     transfer_power,
 )
-from isirate.errors import DomainError, SnrTooLow
+from isirate import highsnr
+from isirate.errors import DomainError, InconclusiveSearch
 from isirate.highsnr import (
     _low_spectrum_fraction,
     crossover_probe,
@@ -25,14 +26,12 @@ from isirate.highsnr import (
     error_alphabet,
     event_distance_sq,
     exponent_gap,
-    fano_forney_upper,
     log_fano_forney_upper,
     log_sq_mean_spectrum,
     log_sl_gap_lower,
-    sl_gap_lower,
     snr_dfe_upper_bound,
 )
-from isirate.scalar import bpsk, make_skewed_binary, make_trinary, mutual_info
+from isirate.scalar import bpsk, log_q_integral, make_skewed_binary, make_trinary, mutual_info
 
 from conftest import mean_over_theta, random_unit_channel
 
@@ -116,22 +115,24 @@ class TestExponentGap:
 
 class TestFanoForneyUpper:
     def test_decays_to_zero(self):
-        vals = [fano_forney_upper(channel_b(), bpsk(), rho, 1.0) for rho in (10, 100, 400)]
+        gap = exponent_gap(channel_b(), bpsk())
+        vals = [math.exp(log_fano_forney_upper(gap, bpsk(), rho, 1.0)) for rho in (10, 100, 400)]
         assert vals[0] > vals[1] > vals[2]
         assert vals[2] < 1e-10
 
     def test_low_snr_cap(self):
         # with K' > 1 the error probability caps at 1/2, bounding the value
         # by h2(1/2) + log|X|/2
-        val = fano_forney_upper(channel_b(), bpsk(), 1e-9, 2.0)
+        gap = exponent_gap(channel_b(), bpsk())
+        val = math.exp(log_fano_forney_upper(gap, bpsk(), 1e-9, 2.0))
         assert val == pytest.approx(math.log(2.0) + 0.5 * math.log(2.0), rel=1e-12)
-        val1 = fano_forney_upper(channel_b(), bpsk(), 1e-9, 1.0)
+        val1 = math.exp(log_fano_forney_upper(gap, bpsk(), 1e-9, 1.0))
         assert val1 <= math.log(2.0) + 0.5 * math.log(2.0) + 1e-12
 
     def test_slope_matches_exponent(self):
         gap = exponent_gap(channel_b(), bpsk())
         rhos = np.linspace(50, 200, 8)
-        logs = [log_fano_forney_upper(channel_b(), bpsk(), r, 1.0) for r in rhos]
+        logs = [log_fano_forney_upper(gap, bpsk(), r, 1.0) for r in rhos]
         slope = np.polyfit(rhos, logs, 1)[0]
         # (d_min/2)^2 = 1 for unit-power binary
         assert slope == pytest.approx(-gap.delta_min_sq / 2.0, rel=0.1)
@@ -143,16 +144,16 @@ class TestSlGapLower:
         # is far below the quadrature floor, so allow that much slack
         x = bpsk()
         for rho in (10.0, 100.0):
-            lower = sl_gap_lower(ChannelResponse((1.0,)), x, rho)
+            lower = math.exp(log_sl_gap_lower(ChannelResponse((1.0,)), x, rho))
             actual = x.entropy - mutual_info(x, rho)
             assert lower <= actual + 1e-12
 
     def test_pair_probability(self):
-        assert sl_gap_lower(ChannelResponse((1.0,)), bpsk(), 10.0) == pytest.approx(
+        assert math.exp(log_sl_gap_lower(ChannelResponse((1.0,)), bpsk(), 10.0)) == pytest.approx(
             2 * 0.5 * _q_int_at(10.0), rel=1e-12
         )
         x = make_skewed_binary(0.002)
-        lower = sl_gap_lower(ChannelResponse((1.0,)), x, 10.0)
+        lower = math.exp(log_sl_gap_lower(ChannelResponse((1.0,)), x, 10.0))
         # p(v1) = 0.002 scales the bound
         assert lower == pytest.approx(
             2 * 0.002 * _q_int_at(10.0 * (x.d_min / 2.0) ** 2), rel=1e-12
@@ -160,15 +161,15 @@ class TestSlGapLower:
 
     def test_spectral_null_branch(self):
         ch = ChannelResponse((math.sqrt(0.5), math.sqrt(0.5)))
-        val = sl_gap_lower(ch, bpsk(), 100.0)
+        val = math.exp(log_sl_gap_lower(ch, bpsk(), 100.0))
         assert 0.0 < val < 1.0
         # null branch engaged: upper bound exceeds the positive-branch form
         up = snr_dfe_upper_bound(ch, 100.0)
         assert up > 100.0 * 0.5
 
     def test_snr_too_low(self):
-        with pytest.raises(SnrTooLow):
-            sl_gap_lower(channel_b(), bpsk(), 3.0)
+        with pytest.raises(DomainError):
+            log_sl_gap_lower(channel_b(), bpsk(), 3.0)
 
     def test_slope_matches_exponent(self):
         gap = exponent_gap(two_tap_channel(0.5), bpsk())
@@ -238,9 +239,7 @@ class TestLowSpectrumFraction:
 
 
 def _q_int_at(s):
-    from isirate.scalar import q_integral
-
-    return q_integral(s)
+    return math.exp(log_q_integral(s))
 
 
 class TestCrossoverProbe:
@@ -264,3 +263,41 @@ class TestCrossoverProbe:
         table = crossover_probe(channel_b(), bpsk(), [2.0, 10.0])
         assert table.rows[0].log_upper is None
         assert table.rows[1].log_upper is not None
+
+    def test_one_search_per_probe(self, monkeypatch):
+        calls = {"to_minimum_phase": 0, "delta_min_sq": 0}
+        for name in calls:
+
+            def counted(*args, _real=getattr(highsnr, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(highsnr, name, counted)
+        crossover_probe(channel_b(), bpsk(), [2.0, 10.0, 100.0, 1000.0])
+        assert calls == {"to_minimum_phase": 1, "delta_min_sq": 1}
+
+    def test_uncertified_search_raises_before_rows(self, monkeypatch):
+        # a node guard this small leaves channel_b's search uncertified
+        monkeypatch.setattr(highsnr, "_NODE_GUARD", 5)
+        with pytest.raises(InconclusiveSearch):
+            crossover_probe(channel_b(), bpsk(), [2.0])
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        taps=st.lists(st.floats(-1.0, 1.0).map(lambda v: round(v, 3)), min_size=1, max_size=4).filter(
+            lambda t: abs(t[0]) >= 1e-2 and abs(t[-1]) >= 1e-2
+        ),
+        x=st.sampled_from([bpsk(), make_trinary(0.01), make_skewed_binary(0.002)]),
+        grid=st.lists(st.one_of(st.floats(0.5, 3.9), st.floats(4.1, 1e5)), min_size=1, max_size=6),
+        k_prime=st.floats(0.1, 10.0),
+    )
+    def test_rows_are_the_two_log_bounds(self, taps, x, grid, k_prime):
+        ch = ChannelResponse(tuple(taps))
+        table = crossover_probe(ch, x, grid, k_prime=k_prime)
+        gap = exponent_gap(ch, x)
+        for rho, row in zip(grid, table.rows, strict=True):
+            if rho > 4.0:
+                want = (log_fano_forney_upper(gap, x, rho, k_prime), log_sl_gap_lower(ch, x, rho))
+                assert (row.log_upper, row.log_lower) == want
+            else:
+                assert row.log_upper is None and row.log_lower is None

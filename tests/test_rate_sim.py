@@ -7,8 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import isirate.rate_sim
 from isirate.channel import ChannelResponse, channel_b, jeong, spectral_summary
-from isirate.errors import DomainError, StateBudgetExceeded
+from isirate.errors import BudgetExceeded, DomainError
 from isirate.montecarlo import stream_rng
 from isirate.rate_sim import (
     _forward_log_likelihood_scan,
@@ -17,7 +18,7 @@ from isirate.rate_sim import (
     estimate_rate,
     forward_log_likelihood,
 )
-from isirate.scalar import bpsk, make_trinary, mutual_info
+from isirate.scalar import InputDistribution, bpsk, make_trinary, mutual_info
 from isirate.bounds import i_mmse_mc
 from isirate.equalizer import design_mmse_dfe
 
@@ -79,7 +80,7 @@ class TestForwardRecursion:
 
     def test_state_budget(self):
         ch = ChannelResponse(tuple([0.1] * 22))
-        with pytest.raises(StateBudgetExceeded):
+        with pytest.raises(BudgetExceeded):
             build_trellis(ch, bpsk())
 
 
@@ -185,6 +186,29 @@ class TestEstimateRate:
         est = estimate_rate(channel_b(), bpsk(), 1.0, 20_000, 3, seed=5)
         assert est.std_error > 0.0
         assert est.n_seeds == 3
+
+    def test_uniform_above_rounded_cumulative_stays_in_alphabet(self, monkeypatch):
+        # probabilities summing to 1 - 1e-13 pass validation; their cumsum
+        # ends at 0.9999999999999001, below the injected uniform
+        x = InputDistribution((-0.9999999999998, 1.0), (0.5, 0.4999999999999))
+
+        class InjectedUniform:
+            def __init__(self, rng):
+                self._rng = rng
+
+            def random(self, n):
+                u = self._rng.random(n)
+                u[0] = 0.99999999999995
+                return u
+
+            def standard_normal(self, n):
+                return self._rng.standard_normal(n)
+
+        monkeypatch.setattr(
+            isirate.rate_sim, "stream_rng", lambda seed, s: InjectedUniform(stream_rng(seed, s))
+        )
+        est = estimate_rate(channel_b(), x, 1.0, 20_000, 2, seed=5)
+        assert math.isfinite(est.value)
 
     def test_validation(self):
         with pytest.raises(DomainError):

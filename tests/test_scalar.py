@@ -12,6 +12,7 @@ from isirate.scalar import (
     InputDistribution,
     binary_entropy,
     bpsk,
+    log_q_integral,
     low_snr_series,
     make_skewed_binary,
     make_trinary,
@@ -19,7 +20,6 @@ from isirate.scalar import (
     mmse_binary,
     mutual_info,
     parse_input_spec,
-    q_integral,
     q_tail,
 )
 
@@ -164,18 +164,18 @@ class TestBinaryClosedForms:
             assert mmse_binary(gamma) >= 2.0 * q_tail(math.sqrt(gamma))
 
     def test_q_integral_at_zero(self):
-        assert q_integral(0.0) == pytest.approx(0.5, abs=1e-15)
+        assert math.exp(log_q_integral(0.0)) == pytest.approx(0.5, abs=1e-15)
 
     def test_q_integral_against_quadrature(self):
         for s in (0.5, 2.0, 8.0):
             oracle, _ = quad(lambda g: q_tail(math.sqrt(g)), s, s + 400.0, epsabs=1e-13, limit=200)
-            assert q_integral(s) == pytest.approx(oracle, rel=1e-9)
+            assert math.exp(log_q_integral(s)) == pytest.approx(oracle, rel=1e-9)
 
     def test_q_integral_derivative(self):
-        # d/ds q_integral = -Q(sqrt(s))
+        # d/ds int_s^inf Q(sqrt(gamma)) dgamma = -Q(sqrt(s))
         s = 1.7
         h = 1e-6
-        deriv = (q_integral(s + h) - q_integral(s - h)) / (2 * h)
+        deriv = (math.exp(log_q_integral(s + h)) - math.exp(log_q_integral(s - h))) / (2 * h)
         assert deriv == pytest.approx(-q_tail(math.sqrt(s)), rel=1e-6)
 
 
