@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
+from scipy.special import gammaln, logsumexp
 
 from .channel import ChannelResponse, log_mean_spectrum
 from .equalizer import DfeDesign, design_mmse_dfe
@@ -31,6 +32,8 @@ from .scalar import InputDistribution, discrete_mmse, mmse, mutual_info
 
 _HALF_LOG_2PIE = 0.5 * math.log(2.0 * math.pi * math.e)
 _BUDGET = 2**24  # mixture components i_mmse_exact may keep
+# Atom-count classes _log_min_patterns sorts at most (8 MB per class array)
+_CLASS_CAP = 2**20
 _I_MMSE_METHODS = ("exact", "mc", "none")
 _PRUNE_MASS = 1e-12
 _MC_STREAMS = 8
@@ -64,6 +67,38 @@ class ImmseExact:
     pruned_mass: float
 
 
+def _log_min_patterns(probs: np.ndarray, n_steps: int, mass_budget: float) -> float:
+    """log of the fewest patterns of n_steps i.i.d. atoms that hold all but
+    mass_budget of the probability.
+
+    Patterns with the same atom counts k (sum k = n_steps) share the weight
+    prod p_a^k_a, so the C(n_steps + |A| - 1, |A| - 1) count classes are
+    sorted by weight: the lightest are dropped whole while their mass fits
+    the budget, then single patterns of the next class while they still fit.
+    Past _CLASS_CAP classes it returns the lower bound (1 - mass_budget) /
+    p_max^N instead, as no pattern weighs more than p_max^N.
+    """
+    if math.comb(n_steps + probs.size - 1, probs.size - 1) > _CLASS_CAP:
+        return math.log1p(-mass_budget) - n_steps * math.log(probs.max())
+    counts = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(probs.size - 1):
+        reps = n_steps - counts.sum(axis=1) + 1
+        k = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        counts = np.column_stack([np.repeat(counts, reps, axis=0), k])
+    counts = np.column_stack([counts, n_steps - counts.sum(axis=1)])
+    log_w = counts @ np.log(probs)
+    log_n = gammaln(n_steps + 1.0) - gammaln(counts + 1.0).sum(axis=1)
+    order = np.argsort(log_w, kind="stable")
+    log_w, log_n = log_w[order], log_n[order]
+    mass = np.exp(log_w + log_n)
+    cum = np.concatenate(([0.0], np.cumsum(mass)))
+    i = int(np.searchsorted(cum, mass_budget, side="right")) - 1  # cum[i] <= budget < cum[i+1]
+    rest = mass[i] - (mass_budget - cum[i])
+    # at least one pattern of the first class not dropped whole stays
+    partial = math.log(rest) - log_w[i] if rest > 0.0 else 0.0
+    return float(logsumexp(np.append(log_n[i + 1 :], partial)))
+
+
 def _enumerate_mixture(
     taps: np.ndarray,
     atoms: np.ndarray,
@@ -75,19 +110,15 @@ def _enumerate_mixture(
 
     Lowest-weight components are dropped, never exceeding ``mass_budget``
     in total; if the survivors still exceed ``budget`` the enumeration is
-    abandoned. It is refused before it starts when even dropping the
-    lightest patterns cannot fit: every final pattern not kept costs at
-    least p_min^N of dropped mass (a dropped prefix of weight w removes
-    |A|^(N-i) patterns, and w / |A|^(N-i) >= p_min^N as p_min <= 1/|A|).
+    abandoned. It is refused before it starts when even the fewest patterns
+    holding all but ``mass_budget`` of the probability (_log_min_patterns)
+    outnumber ``budget``.
     """
     n_atoms = atoms.size
     n_steps = taps.size
     message = f"mixture needs more than {budget} components; use the mc I_MMSE route"
-    log_patterns = n_steps * math.log(n_atoms)
-    if log_patterns > math.log(budget):
-        # log((|A|^N - budget) p_min^N) against log(mass_budget)
-        log_excess = log_patterns + math.log1p(-math.exp(math.log(budget) - log_patterns))
-        if log_excess + n_steps * math.log(probs.min()) > math.log(mass_budget):
+    if n_steps * math.log(n_atoms) > math.log(budget):
+        if _log_min_patterns(probs, n_steps, mass_budget) > math.log(budget):
             raise BudgetExceeded(message)
     means = np.zeros(1)
     w = np.ones(1)

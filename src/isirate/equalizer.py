@@ -45,14 +45,18 @@ _TRUNCATION_REL_AMPLITUDE = 1e-10
 class DfeDesign:
     """Designed unbiased MMSE-DFE for one channel, input power and SNR.
 
-    residual    : truncated residual-ISI taps alpha_1..alpha_N; alpha_0 = 1
-        by construction and is not stored.
-    residual_full : the untruncated taps alpha_1..alpha_{m-1}, with m the
-        length at which the slowest pole of 1/G has decayed to 1e-20;
-        the inverse FFT's padding beyond m is not kept.
+    residual    : truncated residual-ISI taps alpha_1..alpha_N, the design's
+        only array (its own contiguous copy); alpha_0 = 1 by construction
+        and is not stored.
     noise_var   : E m^2 of the Gaussian noise at the unbiased output.
     gaussian_rate : <log(1 + rho |H|^2)> = log snr_dfe in nats, from the
         same factorisation.
+    channel     : the channel the design was made for.
+
+    residual_full, the untruncated taps alpha_1..alpha_{m-1} with m the
+    length at which the slowest pole of 1/G has decayed to 1e-20, is
+    derived on access from the channel's factorisation at rho and not
+    kept; the inverse FFT's padding beyond m is dropped.
 
     The residual summaries are read-only properties: beta1_sq, gamma1_cu
     and delta1_4 the sums of alpha_k^2, alpha_k^3 (signed) and alpha_k^4
@@ -61,15 +65,23 @@ class DfeDesign:
     """
 
     residual: np.ndarray
-    residual_full: np.ndarray
     noise_var: float
     rho: float
     x_power: float
     gaussian_rate: float
+    channel: ChannelResponse
+
+    @property
+    def residual_full(self) -> np.ndarray:
+        """The untruncated taps, factored afresh on every access."""
+        _, _, alpha, m = _residual_taps(self.channel, self.rho)
+        # the m - 1 taps the decay bound asks for; the padding to the FFT
+        # length (up to as many taps again) lies below 1e-12 of the largest
+        return alpha[: max(m - 1, self.residual.size)].copy()
 
     @property
     def ff_half_len(self) -> int:
-        """Number of kept residual taps, residual_full.size (read-only)."""
+        """Number of untruncated residual taps, residual_full.size (read-only)."""
         return int(self.residual_full.size)
 
     @cached_property
@@ -106,6 +118,15 @@ class DfeDesign:
         return self.x_power / (self.beta1_sq * self.x_power + self.noise_var)
 
 
+def _residual_taps(
+    channel: ChannelResponse, rho: float
+) -> tuple[float, np.ndarray, np.ndarray, int]:
+    """(gaussian_rate, c, alpha, m) at rho: alpha_k = -c_k/(snr_dfe - 1) for
+    k >= 1 over the whole inverse FFT of G, m as in _dfe_factor."""
+    gaussian_rate, c, m = _dfe_factor(channel, rho)
+    return gaussian_rate, c, -c[1:] / float(np.expm1(gaussian_rate)), m
+
+
 def _truncate(alpha: np.ndarray) -> np.ndarray:
     """Shortest prefix alpha_1..alpha_N whose dropped tail is negligible.
 
@@ -131,15 +152,10 @@ def design_mmse_dfe(
     if rho <= 0.0:
         raise DomainError("rho must be positive")
     px = x.power
-    gaussian_rate, c, m = _dfe_factor(channel, rho)
+    gaussian_rate, c, alpha, _ = _residual_taps(channel, rho)
     snr_m1 = float(np.expm1(gaussian_rate))
-    alpha = -c[1:] / snr_m1
     noise_var = px * (snr_m1 - float(c[1:] @ c[1:])) / snr_m1**2
-    residual = _truncate(alpha)
-    # keep the m - 1 taps the decay bound asks for; the padding to n (up to
-    # as many taps again) lies below 1e-12 of the largest tap
-    kept = alpha[: max(m - 1, residual.size)].copy()
-    return DfeDesign(kept[: residual.size], kept, noise_var, rho, px, gaussian_rate)
+    return DfeDesign(_truncate(alpha).copy(), noise_var, rho, px, gaussian_rate, channel)
 
 
 def two_tap_residual(q: float, rho: float, n_taps: int) -> np.ndarray:

@@ -2,8 +2,11 @@
 
 I_x(gamma) is the mutual information of y = sqrt(gamma) x + n with x the
 unit-power-normalized input and n standard Gaussian; mmse_x(gamma) is the
-matching estimation error. Both are evaluated by Gauss-Legendre panel
-quadrature over the Gaussian-mixture output density. Everything is in nats.
+matching estimation error. Both are integrals over the Gaussian-mixture
+output density by the nested trapezoid rule of isirate.gaussmix, which
+converges from gamma = 0 to far past saturation (1e7 and beyond), where
+I_x equals H(x). mmse_binary is the independent tanh-kernel integral for
+equiprobable +-1 input, by Gauss-Legendre panels. Everything is in nats.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ from isirate.bounds import (
     _enumerate_mixture,
     _fft_grid,
     _frequencies,
+    _log_min_patterns,
     _LogDensityTable,
     bound_report,
     genie_equal_sigma,
@@ -101,6 +102,44 @@ class TestImmseExact:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_skewed_refused_by_class_count(self):
+        # jeong, skewed_binary(0.002), -4 dB: 45 taps with x_0, and the
+        # fewest patterns holding all but the mass budget number 5.1e7
+        x = make_skewed_binary(0.002)
+        d = design_mmse_dfe(jeong(), x, 10**-0.4)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded, match="components"):
+                i_mmse_exact(d, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
+    @pytest.mark.parametrize(
+        "probs", [(0.002, 0.998), (0.5, 0.5), (0.01, 0.98, 0.01), (0.1, 0.2, 0.3, 0.4)]
+    )
+    def test_min_patterns_against_sorted_weights(self, probs):
+        # the class count against every pattern weight, lightest dropped first
+        probs = np.asarray(probs)
+        n_steps = 12 if probs.size < 4 else 8
+        w = np.ones(1)
+        for _ in range(n_steps):
+            w = (w[:, None] * probs[None, :]).ravel()
+        cum = np.cumsum(np.sort(w))
+        for mass_budget in (1e-12, 1e-6, 1e-3, 0.1):
+            fewest = w.size - int(np.searchsorted(cum, mass_budget, side="right"))
+            got = math.exp(_log_min_patterns(probs, n_steps, mass_budget))
+            assert got == pytest.approx(fewest, abs=1.01), mass_budget
+
+    def test_min_patterns_past_class_cap_is_a_lower_bound(self, monkeypatch):
+        probs, n_steps = np.array([0.01, 0.98, 0.01]), 30  # 496 classes
+        exact = _log_min_patterns(probs, n_steps, 1e-12)
+        monkeypatch.setattr(isirate.bounds, "_CLASS_CAP", 100)
+        bound = _log_min_patterns(probs, n_steps, 1e-12)
+        assert bound == pytest.approx(math.log1p(-1e-12) - n_steps * math.log(0.98))
+        assert bound <= exact
 
     def test_reference_sign_skewed_low_snr(self):
         # in the low-SNR regime I_MMSE falls below I_SL for skewed input

@@ -10,6 +10,7 @@ import scipy.linalg
 from isirate.channel import (
     CHANNEL_PRESETS,
     ChannelResponse,
+    _dfe_factor,
     channel_b,
     jeong,
     jeong_spaced,
@@ -124,11 +125,19 @@ class TestTruncationRule:
         assert tail < 1e-10 * float(full @ full)
 
     def test_design_keeps_no_fft_padding(self):
-        # jeong_spaced at 20 dB inverts G on 4096 points but needs ~2700 taps
+        # jeong_spaced at 20 dB inverts G on 4096 points but needs ~2700 taps;
+        # the design keeps only the truncated taps, in an array of their own
         d = design_mmse_dfe(jeong_spaced(), bpsk(), 100.0)
-        assert d.residual_full.base is None
-        assert np.shares_memory(d.residual, d.residual_full)
-        assert d.residual.size <= d.residual_full.size < 4095
+        arrays = [v for v in vars(d).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == 1 and arrays[0] is d.residual
+        assert d.residual.base is None
+        gaussian_rate, c, m = _dfe_factor(jeong_spaced(), 100.0)
+        alpha = -c[1:] / float(np.expm1(gaussian_rate))
+        full = d.residual_full
+        assert np.array_equal(full, alpha[: max(m - 1, d.residual.size)])
+        assert np.array_equal(d.residual, full[: d.residual.size])
+        assert d.residual.size <= full.size < 4095
+        assert d.ff_half_len == full.size
 
 
 class TestAppendixIdentities:

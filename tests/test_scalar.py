@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from isirate.channel import channel_b
+from isirate.equalizer import design_mmse_dfe
 from isirate.errors import DomainError, NonConvergent
-from isirate.gaussmix import _refine
+from isirate.gaussmix import _refine, mixture_conditional_second_moment, mixture_entropy
 from isirate.scalar import (
     InputDistribution,
     binary_entropy,
@@ -105,10 +107,12 @@ class TestMutualInfo:
 
     def test_never_above_entropy(self):
         # uncapped, quadrature rounding puts the BPSK I_x(1000) 3.7e-15
-        # above log 2; the cap must hold exactly
+        # above log 2; the cap must hold exactly. Far past saturation the
+        # mixture spans up to 7e4 sigma and must still converge
         for x in PRESETS.values():
-            for gamma in (1e3, 1e4, 1e5):
-                assert mutual_info(x, gamma) <= x.entropy
+            for gamma in (1e3, 1e4, 1e5, 1e6, 1e7):
+                val = mutual_info(x, gamma)
+                assert x.entropy - 1e-12 <= val <= x.entropy, gamma
 
     def test_concavity(self):
         gammas = np.linspace(0.1, 5.0, 9)
@@ -131,7 +135,7 @@ class TestMmse:
         # 1 - E[(E[x|y])^2] cancels to round-off once mmse is ~1e-15, which
         # every preset reaches below gamma = 1e5
         x = PRESETS[name]
-        for gamma in np.geomspace(1e-3, 1e5, 81):
+        for gamma in [*np.geomspace(1e-3, 1e5, 81), 1e6, 1e7]:
             assert 0.0 <= mmse(x, float(gamma)) <= 1.0, gamma
 
     def test_gaussian_upper_bound(self):
@@ -231,3 +235,59 @@ class TestRefine:
     def test_raises_with_last_estimate_when_never_settled(self):
         with pytest.raises(NonConvergent, match="last estimate 4.0"):
             _refine(lambda level: float(level), 5, 1e-12, 1e-14)
+
+
+def _quad_over_mixture(f, means: np.ndarray, sigma: float) -> float:
+    """Adaptive quadrature of f over the mixture support, split at the means."""
+    pts = np.unique(means)
+    val, _ = quad(
+        f, pts[0] - 12.0 * sigma, pts[-1] + 12.0 * sigma, points=pts,
+        limit=50 * pts.size + 100, epsabs=0.0, epsrel=1e-13,
+    )
+    return val
+
+
+def _residual_mixture():
+    """The 729 interference means and weights of channel_b with
+    trinary(0.01) at -28 dB (six residual taps), and the noise sigma."""
+    x = make_trinary(0.01)
+    d = design_mmse_dfe(channel_b(), x, 10**-2.8)
+    means, weights = np.zeros(1), np.ones(1)
+    for t in d.residual:
+        means = (means[:, None] + t * np.asarray(x.atoms)[None, :]).ravel()
+        weights = (weights[:, None] * np.asarray(x.probs)[None, :]).ravel()
+    return means, weights, math.sqrt(d.noise_var)
+
+
+class TestMixtureQuadrature:
+    """The nested trapezoid rule against adaptive quadrature split at the means."""
+
+    @pytest.mark.parametrize("case", ["two_far_apart", "channel_b_residual"])
+    def test_against_adaptive_quadrature(self, case):
+        if case == "two_far_apart":
+            means, weights, sigma = np.array([-40.0, 40.0]), np.array([0.3, 0.7]), 1.0
+        else:
+            means, weights, sigma = _residual_mixture()
+            assert means.size == 729
+        norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
+
+        def entropy_integrand(y):
+            p = norm * float(weights @ np.exp(-0.5 * ((y - means) / sigma) ** 2))
+            return -p * math.log(p) if p > 0.0 else 0.0
+
+        h, _ = mixture_entropy(means, weights, sigma)
+        assert h == pytest.approx(
+            _quad_over_mixture(entropy_integrand, means, sigma), rel=1e-11, abs=0.0
+        )
+        # z = means/sigma seen at gamma = 1: the same mixture in units of sigma
+        vals = means / sigma
+
+        def second_moment_integrand(y):
+            k = weights * np.exp(-0.5 * (y - vals) ** 2)
+            p = k.sum()
+            return float(k @ vals) ** 2 / p / math.sqrt(2.0 * math.pi) if p > 0.0 else 0.0
+
+        second = mixture_conditional_second_moment(vals, weights, 1.0)
+        assert second == pytest.approx(
+            _quad_over_mixture(second_moment_integrand, vals, 1.0), rel=1e-11, abs=0.0
+        )
