@@ -48,7 +48,7 @@ from .bounds import (
     slc_gap_series,
     two_tap_gap_leading,
 )
-from .rate_sim import Trellis, build_trellis, estimate_rate, forward_log_likelihood
+from .rate_sim import Trellis, build_trellis, estimate_rate
 from .highsnr import (
     ErrorEventSearch,
     ExponentGap,

@@ -31,7 +31,7 @@ from .channel import (
 )
 from .equalizer import design_mmse_dfe
 from .errors import DomainError, IsirateError
-from .highsnr import crossover_probe, delta_min_sq, exponent_gap
+from .highsnr import crossover_probe, exponent_gap
 from .rate_sim import estimate_rate
 from .scalar import InputDistribution, parse_input_spec
 
@@ -247,13 +247,14 @@ def cmd_simulate(args) -> int:
 def cmd_dmin(args) -> int:
     ch = parse_channel(args.channel, normalize=True)
     x = parse_input(args.input)
-    search = delta_min_sq(ch, x, max_len=args.max_len)
+    # one search, on the minimum-phase form: delta_min^2 depends only on
+    # |H|^2, and exponent_gap raises unless the search is certified
     gap = exponent_gap(ch, x, max_len=args.max_len)
     out = {
-        "delta_min_sq": search.delta_min_sq,
-        "witness": list(search.witness),
-        "certified": search.certified,
-        "nodes_explored": search.nodes_explored,
+        "delta_min_sq": gap.delta_min_sq,
+        "witness": list(gap.witness),
+        "certified": True,
+        "nodes_explored": gap.nodes_explored,
         "g_zf_dfe": gap.g_zf_dfe,
         "strict": gap.strict,
         "min_phase_taps": list(to_minimum_phase(ch).taps),

@@ -59,7 +59,8 @@ class ExponentGap:
     delta_min_sq: float
     g_zf_dfe: float
     strict: bool
-    witness: tuple[float, ...]
+    witness: tuple[float, ...]  # of the min-phase channel's search
+    nodes_explored: int
 
 
 def error_alphabet(x: InputDistribution) -> np.ndarray:
@@ -165,6 +166,7 @@ def exponent_gap(
         g_zf_dfe=g,
         strict=search.delta_min_sq - g > 1e-9,
         witness=search.witness,
+        nodes_explored=search.nodes_explored,
     )
 
 

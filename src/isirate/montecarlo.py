@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,53 @@ def _sample_indices(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
     for c in cum[:-1]:
         idx += u > c
     return idx
+
+
+class IsiOutputStream:
+    """One realization y = x * taps + noise of n outputs, drawn in blocks.
+
+    Block by block, every value equals bit for bit the one-shot draw from
+    ``stream_rng(seed, stream)``: ``random(n + mem)`` uniforms mapped to
+    inputs by ``cum``, ``np.convolve(x, taps)[mem : mem + n]``, and then
+    ``sqrt(n0) * standard_normal(n)``, as long as the blocks total n. The
+    normals come from a second copy of the stream whose counter is advanced
+    past the uniforms (Philox makes four 64-bit draws per counter step, and
+    each uniform or discarded leftover takes one); the convolution carries
+    the last mem inputs from one block to the next.
+    """
+
+    def __init__(
+        self,
+        seed: int,
+        stream: int,
+        atoms: np.ndarray,
+        cum: np.ndarray,
+        taps: np.ndarray,
+        n0: float,
+        n: int,
+    ):
+        self._atoms = atoms
+        self._cum = cum
+        self._taps = taps
+        self._sigma = math.sqrt(n0)
+        mem = taps.size - 1
+        self._uniforms = stream_rng(seed, stream)
+        self._normals = stream_rng(seed, stream)
+        self._normals.bit_generator.advance((n + mem) // 4)
+        if (n + mem) % 4:
+            self._normals.random((n + mem) % 4)
+        self._tail = atoms[:0]
+
+    def draw(self, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """The next size noiseless outputs and noise samples."""
+        mem = self._taps.size - 1
+        fresh = self._atoms[
+            _sample_indices(self._uniforms.random(size + mem - self._tail.size), self._cum)
+        ]
+        xs = np.concatenate([self._tail, fresh])
+        self._tail = xs[size:].copy()
+        clean = np.convolve(xs, self._taps)[mem : mem + size]
+        return clean, self._sigma * self._normals.standard_normal(size)
 
 
 @dataclass(frozen=True)

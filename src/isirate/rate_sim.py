@@ -7,31 +7,43 @@ inputs. Per seed, a long input/output realization is simulated and
 Gaussian noise. The difference estimates the rate; the confidence
 interval comes from the spread across seeds, since the per-symbol
 increments within one run are serially dependent.
+
+All seeds' realizations are drawn block by block, and their recursions
+advance together through each block, so memory stays O(seeds x block)
+however long the run.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelResponse
 from .errors import BudgetExceeded, DomainError
-from .montecarlo import RateEstimate, _sample_indices, stream_rng
+from .montecarlo import IsiOutputStream, RateEstimate
 from .scalar import InputDistribution
 
 _STATE_BUDGET = 1 << 20
-_SCAN_CHUNK = 2048
 # Trellises with more states than this run the sparse recursion. The dense
-# scan costs S^3 per symbol but is time-parallel; the sparse step costs
-# S |A| per symbol and seed but takes one Python-level step per symbol, so
-# with one seed it is slower than the dense scan up to 32 states.
-_DENSE_MAX_STATES = 32
+# m-step scan costs S^3/m per symbol but is time-parallel; the sparse step
+# costs S |A| per symbol and takes one Python-level step per symbol for all
+# seeds at once. With 8-16 seeds the dense scan is faster up to 16 states
+# and slower from 27 on.
+_DENSE_MAX_STATES = 16
+# entries of the m-step matrices in one dense chunk, per row (32 KB). With
+# 16 rows, 2^11 to 2^13 ran alike at 4 and 9 states; 2^14 ran a fifth
+# slower at 9 states and 2^13 a third slower at 16 states.
+_CHUNK_ELEMENTS = 1 << 12
 # elements of one chunk of sparse transition weights: 1 MB of doubles stays
 # in a typical L2 cache; 2^21 elements (16 MB) ran about 25% slower at 64
 # states with 8 seeds
 _SPARSE_CHUNK_ELEMENTS = 1 << 17
+# sampled outputs held per seed (16 KB): the memoryless route's temporaries
+# are as large, so with 64 seeds a block takes about 3 MB in all
+_BLOCK_SYMBOLS = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -48,6 +60,11 @@ class Trellis:
     outputs: np.ndarray  # (n_states, n_atoms)
     next_state: np.ndarray  # (n_states, n_atoms)
     n_states: int
+
+    @property
+    def memory(self) -> int:
+        """Channel memory m, with n_states = |A|^m."""
+        return 0 if self.n_states == 1 else round(math.log(self.n_states, self.atoms.size))
 
 
 def build_trellis(channel: ChannelResponse, x: InputDistribution) -> Trellis:
@@ -88,89 +105,140 @@ def _initial_state_probs(trellis: Trellis) -> np.ndarray:
     return sp
 
 
-def forward_log_likelihood(
-    y: np.ndarray, trellis: Trellis, n0: float, renorm_every: int = 1
-) -> float:
-    """log p(y_1^n) by the normalized forward recursion (reference path).
+def _m_step_paths(trellis: Trellis) -> np.ndarray:
+    """Branches along the one path behind each entry of an m-step product.
 
-    The result is invariant to the renormalization schedule.
+    With memory m the trellis has S = |A|^m states, and the product of m
+    consecutive branch matrices is dense: from every old state, each input
+    word of m atoms leads to the distinct new state that is the word
+    itself. Row j of the (m, S^2) result holds, for each flat entry
+    new * S + old, the flat branch index state * |A| + atom taken at step
+    j of that path.
     """
     n_states, n_atoms = trellis.outputs.shape
-    state_p = _initial_state_probs(trellis)
-    coef = 1.0 / math.sqrt(2.0 * math.pi * n0)
-    flat_next = trellis.next_state.ravel()
-    weights = np.repeat(trellis.probs[None, :], n_states, axis=0).ravel()
-    outputs = trellis.outputs.ravel()
-    log_p = 0.0
-    for k, yk in enumerate(y):
-        like = coef * np.exp(-0.5 * (yk - outputs) ** 2 / n0)
-        contrib = np.repeat(state_p, n_atoms) * weights * like
-        state_p = np.zeros(n_states)
-        np.add.at(state_p, flat_next, contrib)
-        if (k + 1) % renorm_every == 0:
-            scale = state_p.sum()
-            log_p += math.log(scale)
-            state_p /= scale
-    total = state_p.sum()
-    return log_p + (math.log(total) if total > 0.0 else -math.inf)
+    m = trellis.memory
+    old = np.repeat(np.arange(n_states), n_states)
+    word = np.tile(np.arange(n_states), n_states)
+    state = old
+    branches = []
+    for j in range(m):
+        atom = word // n_atoms ** (m - 1 - j) % n_atoms
+        branches.append(state * n_atoms + atom)
+        state = trellis.next_state[state, atom]
+    order = np.argsort(state * n_states + old)
+    return np.stack(branches)[:, order]
 
 
-def _forward_log_likelihood_scan(y: np.ndarray, trellis: Trellis, n0: float) -> float:
-    """Fast path: per-step transition matrices tree-reduced in chunks.
+def _memoryless_step(
+    y: np.ndarray, trellis: Trellis, n0: float, log_p: np.ndarray
+) -> np.ndarray:
+    """log p(y_k) = log sum_a P(a) phi(y_k - out_a), summed per row of y."""
+    weights = trellis.probs / math.sqrt(2.0 * math.pi * n0)
+    mix = np.zeros(y.shape)
+    like = np.empty(y.shape)
+    for out, weight in zip(trellis.outputs[0], weights):
+        np.subtract(y, out, out=like)
+        like *= like
+        like *= -0.5 / n0
+        np.exp(like, out=like)
+        like *= weight
+        mix += like
+    return log_p + np.log(mix, out=mix).sum(axis=1)
 
-    Identical to the sequential recursion in exact arithmetic.
+
+class _DenseScan:
+    """The dense m-step scan of one trellis, for n_rows rows at a time.
+
+    Each chunk of k m-step S x S matrices per row is built directly, entry
+    by entry, as the product of the m branch weights along its path, then
+    tree-multiplied over time. Every level is scaled by its entry sum,
+    whose log joins log_p. The weights and the m-step entries are formed
+    branch-major, one row per branch or entry, so each step of the build
+    runs over long contiguous rows. k depends only on S, so a row's result
+    is the same in any batch. The work space is allocated once: a fresh
+    array of its size per chunk costs a page fault per 4 KB whenever the
+    allocator has returned the last one to the system, which doubled the
+    run time with 16 rows.
     """
-    n_states, n_atoms = trellis.outputs.shape
-    state_p = _initial_state_probs(trellis)
-    coef = 1.0 / math.sqrt(2.0 * math.pi * n0)
-    if n_states == 1:
-        # memoryless channel: p(y_k) = sum_a P(a) phi(y_k - out_a)
-        log_p = 0.0
-        for start in range(0, y.size, _SCAN_CHUNK):
-            yc = y[start : start + _SCAN_CHUNK]
-            like = coef * np.exp(
-                -0.5 * (yc[:, None] - trellis.outputs[0][None, :]) ** 2 / n0
-            )
-            log_p += float(np.log(like @ trellis.probs).sum())
-        return log_p
-    # flat position of entry (next_state, state) in an (n_states, n_states)
-    # matrix; distinct for every (state, atom) pair when the channel has
-    # memory
-    flat_idx = (
-        trellis.next_state * n_states + np.arange(n_states)[:, None]
-    ).ravel()
-    w = np.repeat(trellis.probs[None, :], n_states, axis=0).ravel()
-    outputs = trellis.outputs.ravel()
-    log_p = 0.0
-    for start in range(0, y.size, _SCAN_CHUNK):
-        yc = y[start : start + _SCAN_CHUNK]
-        like = coef * np.exp(-0.5 * (yc[:, None] - outputs[None, :]) ** 2 / n0)
-        mats = np.zeros((yc.size, n_states * n_states))
-        mats[:, flat_idx] = like * w[None, :]
-        mats = mats.reshape(yc.size, n_states, n_states)
-        scales = mats.max(axis=(1, 2))
-        mats /= scales[:, None, None]
-        log_p += float(np.log(scales).sum())
-        while mats.shape[0] > 1:
-            even = mats.shape[0] & ~1
-            pair = np.matmul(mats[1:even:2], mats[0:even:2])
-            if mats.shape[0] % 2:
-                pair = np.concatenate([pair, mats[-1:]], axis=0)
-            scales = pair.max(axis=(1, 2))
-            pair /= scales[:, None, None]
-            log_p += float(np.log(scales).sum())
-            mats = pair
-        state_p = mats[0] @ state_p
-        scale = state_p.sum()
-        log_p += math.log(scale)
-        state_p /= scale
-    return log_p
+
+    def __init__(self, trellis: Trellis, n0: float, n_rows: int):
+        self.paths = _m_step_paths(trellis)
+        self.n_states = trellis.n_states
+        self.n0 = n0
+        self.outputs = trellis.outputs.ravel()[:, None]
+        self.log_prior = np.tile(
+            np.log(trellis.probs) - 0.5 * math.log(2.0 * math.pi * n0), self.n_states
+        )[:, None]
+        m, entries = self.paths.shape
+        self.span = _block_multiple(trellis)
+        self.ones = np.ones(entries)
+        cols = n_rows * (self.span // m)
+        self.w_buf = np.empty(self.outputs.size * cols)
+        self.bufs = (np.empty(entries * cols), np.empty(entries * cols))
+
+    def advance(
+        self, y: np.ndarray, alpha: np.ndarray, log_p: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(alpha, log_p) of every row after the steps of y, which has a
+        multiple of m columns."""
+        rows = y.shape[0]
+        m, entries = self.paths.shape
+        n_states = self.n_states
+        for start in range(0, y.shape[1], self.span):
+            k = min(self.span, y.shape[1] - start) // m
+            cols = rows * k
+            # phase j of every m-step of every row, as (m, rows * k)
+            phases = y[:, start : start + m * k].reshape(rows, k, m)
+            phases = phases.transpose(2, 0, 1).reshape(m, cols)
+            w = self.w_buf[: self.outputs.size * cols].reshape(-1, cols)
+            mats, spare = (buf[: entries * cols].reshape(entries, cols) for buf in self.bufs)
+            for j in range(m):
+                np.subtract(self.outputs, phases[j], out=w)
+                w *= w
+                w *= -0.5 / self.n0
+                w += self.log_prior
+                np.exp(w, out=w)
+                if j == 0:
+                    np.take(w, self.paths[0], axis=0, out=mats)
+                else:
+                    np.take(w, self.paths[j], axis=0, out=spare)
+                    mats *= spare
+            scales = mats.sum(axis=0)
+            mats /= scales
+            log_p = log_p + np.log(scales).reshape(rows, k).sum(axis=1)
+            # the tree's levels alternate between the two buffers
+            spare.reshape(cols, entries)[...] = mats.T
+            level = spare.reshape(rows, k, n_states, n_states)
+            free, held = self.bufs
+            while level.shape[1] > 1:
+                half, odd = divmod(level.shape[1], 2)
+                nxt = free[: rows * (half + odd) * entries]
+                nxt = nxt.reshape(rows, half + odd, n_states, n_states)
+                np.matmul(
+                    level[:, 1 : 2 * half : 2], level[:, 0 : 2 * half : 2], out=nxt[:, :half]
+                )
+                if odd:
+                    nxt[:, half] = level[:, -1]
+                free, held = held, free
+                level = nxt
+                scales = level.reshape(rows, -1, entries) @ self.ones
+                level /= scales[:, :, None, None]
+                log_p = log_p + np.log(scales).sum(axis=1)
+            alpha = (level[:, 0] @ alpha[:, :, None])[:, :, 0]
+            total = alpha.sum(axis=1)
+            log_p = log_p + np.log(total)
+            alpha /= total[:, None]
+        return alpha, log_p
 
 
-def _forward_log_likelihood_sparse(
-    y: np.ndarray, trellis: Trellis, n0: float
-) -> np.ndarray | float:
-    """log p(y_1^n) per row of y by the sparse forward recursion.
+def _sparse_step(
+    y: np.ndarray,
+    trellis: Trellis,
+    n0: float,
+    alpha: np.ndarray,
+    log_p: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Advance (alpha, log_p) of every row of y by the sparse recursion.
 
     Writing a state as s = d R + r with R = S/|A| and d the digit that is
     shifted out, the successor of s under atom a is a + |A| r, so one step
@@ -178,23 +246,19 @@ def _forward_log_likelihood_sparse(
     multiply-adds per row. The weights w of a chunk of steps are formed in
     the log domain with the per-step maximum taken out, alpha is
     renormalized every step and the logs of the scales are taken once per
-    chunk. Rows are independent realizations (seeds); a 1-D y gives a float,
-    and each row of a 2-D y gives bit for bit the result of a 1-D call on
-    it. Needs a channel with memory (S >= |A|).
+    chunk. Rows are independent realizations (seeds), and a row's result
+    is the same in any batch. Needs a channel with memory (S >= |A|).
     """
-    rows = np.atleast_2d(y)
-    n_rows, n = rows.shape
+    n_rows, n = y.shape
     n_states, n_atoms = trellis.outputs.shape
     tail = n_states // n_atoms
     outputs = trellis.outputs.ravel()
     log_prior = np.tile(
         np.log(trellis.probs) - 0.5 * math.log(2.0 * math.pi * n0), n_states
     )
-    alpha = np.tile(_initial_state_probs(trellis), (n_rows, 1))
-    log_p = np.zeros(n_rows)
     chunk = max(1, _SPARSE_CHUNK_ELEMENTS // (n_rows * n_states * n_atoms))
     for start in range(0, n, chunk):
-        yc = rows[:, start : start + chunk].T  # (steps, rows)
+        yc = y[:, start : start + chunk].T  # (steps, rows)
         steps = yc.shape[0]
         w = yc[:, :, None] - outputs
         w *= w
@@ -214,7 +278,46 @@ def _forward_log_likelihood_sparse(
         # where the chunks start, which keeps rows independent of the batch
         steps_log_p = np.concatenate([log_p[None], peak + np.log(scales)])
         log_p = np.cumsum(steps_log_p, axis=0)[-1]
-    return log_p if np.ndim(y) == 2 else float(log_p[0])
+    return alpha, log_p
+
+
+def _log_likelihoods(
+    blocks: Iterable[np.ndarray], trellis: Trellis, n0: float, n_rows: int
+) -> np.ndarray:
+    """log p(y_1^n) per row, the rows of y arriving as consecutive blocks.
+
+    Routes: the closed form for a memoryless channel, the dense m-step
+    scan up to _DENSE_MAX_STATES states and the sparse recursion above.
+    On the dense route, steps past a multiple of m in a block run the
+    sparse step, so every block but the last should hold a multiple of
+    _block_multiple(trellis) columns. Only the current block and the
+    carried (alpha, log_p) of every row are held.
+    """
+    log_p = np.zeros(n_rows)
+    if trellis.n_states == 1:
+        for y in blocks:
+            log_p = _memoryless_step(y, trellis, n0, log_p)
+        return log_p
+    alpha = np.tile(_initial_state_probs(trellis), (n_rows, 1))
+    if trellis.n_states > _DENSE_MAX_STATES:
+        for y in blocks:
+            alpha, log_p = _sparse_step(y, trellis, n0, alpha, log_p)
+        return log_p
+    scan = _DenseScan(trellis, n0, n_rows)
+    for y in blocks:
+        whole = y.shape[1] - y.shape[1] % trellis.memory
+        alpha, log_p = scan.advance(y[:, :whole], alpha, log_p)
+        if whole < y.shape[1]:
+            alpha, log_p = _sparse_step(y[:, whole:], trellis, n0, alpha, log_p)
+    return log_p
+
+
+def _block_multiple(trellis: Trellis) -> int:
+    """Symbols per row of one dense chunk. A stream block that is a multiple
+    of it puts the chunks at the same symbols in any blocking."""
+    if not 1 < trellis.n_states <= _DENSE_MAX_STATES:
+        return 1
+    return trellis.memory * max(1, _CHUNK_ELEMENTS // trellis.n_states**2)
 
 
 def estimate_rate(
@@ -229,7 +332,8 @@ def estimate_rate(
 
     Each seed simulates its own realization on an independent counter-based
     stream; the estimate is the across-seed mean and the standard error the
-    across-seed spread. Deterministic for a fixed (seed, n_seeds).
+    across-seed spread. Deterministic: each seed's rate depends on
+    (seed, stream) alone, not on n_seeds.
     """
     if n_symbols < 10**4:
         raise DomainError("n_symbols must be at least 1e4")
@@ -238,32 +342,29 @@ def estimate_rate(
     if rho <= 0.0:
         raise DomainError("rho must be positive")
     trellis = build_trellis(channel, x)
-    taps = np.asarray(channel.taps)
     n0 = x.power / rho
-    # the dense scan runs one seed at a time; the sparse recursion runs all
-    # seeds as one batch
-    sparse = trellis.n_states > _DENSE_MAX_STATES
-    ys = np.empty((n_seeds, n_symbols)) if sparse else None
-    log_p = np.empty(n_seeds)
-    log_p_cond = np.empty(n_seeds)
-    memory = channel.length - 1
+    multiple = _block_multiple(trellis)
+    block = max(1, _BLOCK_SYMBOLS // multiple) * multiple
     cum = np.cumsum(trellis.probs)
-    for s in range(n_seeds):
-        rng = stream_rng(seed, s)
-        idx = _sample_indices(rng.random(n_symbols + memory), cum)
-        xs = trellis.atoms[idx]
-        clean = np.convolve(xs, taps)[memory : memory + n_symbols]
-        noise = math.sqrt(n0) * rng.standard_normal(n_symbols)
-        y = clean + noise
-        log_p_cond[s] = -0.5 * float(noise @ noise) / n0 - 0.5 * n_symbols * math.log(
-            2.0 * math.pi * n0
-        )
-        if sparse:
-            ys[s] = y
-        else:
-            log_p[s] = _forward_log_likelihood_scan(y, trellis, n0)
-    if sparse:
-        log_p = _forward_log_likelihood_sparse(ys, trellis, n0)
+    taps = np.asarray(channel.taps)
+    streams = [
+        IsiOutputStream(seed, s, trellis.atoms, cum, taps, n0, n_symbols)
+        for s in range(n_seeds)
+    ]
+    noise_sq = np.zeros(n_seeds)  # filled in as the blocks are drawn
+
+    def blocks():
+        ys = np.empty((n_seeds, block))
+        for start in range(0, n_symbols, block):
+            y = ys[:, : min(block, n_symbols - start)]
+            for s, stream in enumerate(streams):
+                clean, noise = stream.draw(y.shape[1])
+                np.add(clean, noise, out=y[s])
+                noise_sq[s] += noise @ noise
+            yield y
+
+    log_p = _log_likelihoods(blocks(), trellis, n0, n_seeds)
+    log_p_cond = -0.5 * noise_sq / n0 - 0.5 * n_symbols * math.log(2.0 * math.pi * n0)
     rates = (log_p_cond - log_p) / n_symbols
     value = float(rates.mean())
     std_error = (

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,37 @@ def quadrature_summary(ch: ChannelResponse, rho: float) -> tuple[float, float, f
     e = 1.0 / mean_over_theta(lambda th: 1.0 / (1.0 + rho * power(th)), rel_tol=1e-13)
     d = float(np.exp(rate))
     return rate, (d / e - 1.0) / (d - 1.0) ** 2, (d - 1.0) ** 2 * e / (d * (e - 1.0))
+
+
+def forward_log_likelihood(y, trellis, n0: float, renorm_every: int = 1) -> float:
+    """log p(y_1^n) by the sequential normalized forward recursion: one
+    step per symbol, scattering every branch into its successor. The oracle
+    of the batched trellis kernels; its result is invariant to the
+    renormalization schedule."""
+    n_states, n_atoms = trellis.outputs.shape
+    # stationary i.i.d. law over states: digit i of s is the input index at
+    # delay i + 1
+    state_p = np.ones(n_states)
+    s = np.arange(n_states)
+    for _ in range(round(math.log(n_states, n_atoms)) if n_states > 1 else 0):
+        state_p *= trellis.probs[s % n_atoms]
+        s //= n_atoms
+    coef = 1.0 / math.sqrt(2.0 * math.pi * n0)
+    flat_next = trellis.next_state.ravel()
+    weights = np.repeat(trellis.probs[None, :], n_states, axis=0).ravel()
+    outputs = trellis.outputs.ravel()
+    log_p = 0.0
+    for k, yk in enumerate(y):
+        like = coef * np.exp(-0.5 * (yk - outputs) ** 2 / n0)
+        contrib = np.repeat(state_p, n_atoms) * weights * like
+        state_p = np.zeros(n_states)
+        np.add.at(state_p, flat_next, contrib)
+        if (k + 1) % renorm_every == 0:
+            scale = state_p.sum()
+            log_p += math.log(scale)
+            state_p /= scale
+    total = state_p.sum()
+    return log_p + (math.log(total) if total > 0.0 else -math.inf)
 
 
 @pytest.fixture

@@ -24,7 +24,7 @@ from isirate.bounds import (
 from isirate.channel import ChannelResponse, channel_b, jeong, jeong_spaced, to_minimum_phase
 from isirate.equalizer import design_mmse_dfe, two_tap_residual
 from isirate.highsnr import delta_min_sq, error_alphabet, event_distance_sq, exponent_gap
-from isirate.rate_sim import build_trellis, estimate_rate, forward_log_likelihood
+from isirate.rate_sim import build_trellis, estimate_rate
 from isirate.scalar import (
     bpsk,
     discrete_mmse,
@@ -37,7 +37,7 @@ from isirate.scalar import (
     q_tail,
 )
 
-from conftest import quadrature_summary, random_unit_channel
+from conftest import forward_log_likelihood, quadrature_summary, random_unit_channel
 
 LOG2 = math.log(2.0)
 

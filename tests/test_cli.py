@@ -6,6 +6,7 @@ import math
 import pytest
 
 import isirate.cli
+import isirate.highsnr
 from isirate.cli import main, parse_channel, parse_snr_grid
 from isirate.errors import DomainError
 from isirate.montecarlo import RateEstimate
@@ -205,6 +206,21 @@ class TestSubcommands:
         assert out["certified"] is True
         assert out["strict"] is True
         assert out["delta_min_sq"] > out["g_zf_dfe"]
+
+    def test_dmin_runs_one_search(self, capsys, monkeypatch):
+        # a non-minimum-phase channel: the one search runs on its
+        # minimum-phase form and finds the same distance
+        calls = []
+        real = isirate.highsnr.delta_min_sq
+        monkeypatch.setattr(
+            isirate.highsnr, "delta_min_sq", lambda *a, **k: calls.append(a) or real(*a, **k)
+        )
+        assert main(["dmin", "--channel", "[0.3, 1.0]", "--input", "bpsk"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert len(calls) == 1
+        assert calls[0][0].taps == pytest.approx(out["min_phase_taps"], abs=1e-15)
+        ch = parse_channel("[0.3, 1.0]", normalize=True)
+        assert out["delta_min_sq"] == pytest.approx(real(ch, parse_input_spec("bpsk")).delta_min_sq, rel=1e-12)
 
     def test_highsnr_probe(self, capsys):
         code = main(

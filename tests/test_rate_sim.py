@@ -7,20 +7,24 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import isirate.rate_sim
+import isirate.montecarlo
 from isirate.channel import ChannelResponse, channel_b, jeong, spectral_summary
 from isirate.errors import BudgetExceeded, DomainError
-from isirate.montecarlo import stream_rng
+from isirate.montecarlo import IsiOutputStream, _sample_indices, stream_rng
 from isirate.rate_sim import (
-    _forward_log_likelihood_scan,
-    _forward_log_likelihood_sparse,
+    _block_multiple,
+    _initial_state_probs,
+    _log_likelihoods,
+    _m_step_paths,
+    _sparse_step,
     build_trellis,
     estimate_rate,
-    forward_log_likelihood,
 )
 from isirate.scalar import InputDistribution, bpsk, make_trinary, mutual_info
 from isirate.bounds import i_mmse_mc
 from isirate.equalizer import design_mmse_dfe
+
+from conftest import forward_log_likelihood
 
 
 def brute_force_log_likelihood(y, channel, x, n0):
@@ -39,6 +43,20 @@ def brute_force_log_likelihood(y, channel, x, n0):
             2 * math.pi * n0
         ) ** (n / 2)
     return math.log(total)
+
+
+# (channel, input) pairs with memory 0 to 3 and 1, 1, 2, 3, 4, 9, 8 and 27
+# states: every route of the forward recursion
+KERNEL_CASES = (
+    (ChannelResponse((1.0,)), bpsk()),
+    (ChannelResponse((1.0,)), make_trinary(0.2)),
+    (ChannelResponse((0.8, 0.6)), bpsk()),
+    (ChannelResponse((0.8, 0.6)), make_trinary(0.2)),
+    (channel_b(), bpsk()),
+    (channel_b(), make_trinary(0.2)),
+    (ChannelResponse((0.5, 0.6, -0.4, 0.3)), bpsk()),
+    (ChannelResponse((0.5, 0.6, -0.4, 0.3)), make_trinary(0.2)),
+)
 
 
 class TestForwardRecursion:
@@ -65,23 +83,61 @@ class TestForwardRecursion:
         b = forward_log_likelihood(y, trellis, 0.5, renorm_every=64)
         assert abs(a - b) <= 1e-12 * abs(a)
 
-    def test_scan_matches_sequential(self):
+    def test_batched_kernels_match_oracle(self):
+        # every route: memoryless, dense m-step (memory 1-3, 2-9 states,
+        # with leftover steps past a multiple of m) and sparse (27 states);
+        # three blocks per row, the last not a multiple of m or of a chunk
         rng = np.random.default_rng(11)
-        for ch, x in (
-            (channel_b(), bpsk()),
-            (channel_b(), make_trinary(0.01)),
-            (ChannelResponse((1.0,)), bpsk()),
-        ):
+        for ch, x in KERNEL_CASES:
             trellis = build_trellis(ch, x)
-            y = rng.standard_normal(300)
-            seq = forward_log_likelihood(y, trellis, 0.8)
-            scan = _forward_log_likelihood_scan(y, trellis, 0.8)
-            assert abs(scan - seq) <= 1e-12 * abs(seq)
+            multiple = _block_multiple(trellis)
+            y = 1.5 * rng.standard_normal((3, 2 * multiple + 1003))
+            blocks = [y[:, :multiple], y[:, multiple : 2 * multiple], y[:, 2 * multiple :]]
+            got = _log_likelihoods(blocks, trellis, 0.5, 3)
+            for row, value in zip(y, got):
+                seq = forward_log_likelihood(row, trellis, 0.5)
+                assert abs(value - seq) <= 1e-12 * abs(seq), trellis.n_states
+
+    def test_batch_rows_equal_one_row_calls(self):
+        rng = np.random.default_rng(12)
+        for ch, x in KERNEL_CASES:
+            trellis = build_trellis(ch, x)
+            y = rng.standard_normal((3, 2 * _block_multiple(trellis) + 1003))
+            batch = _log_likelihoods([y], trellis, 0.6, 3)
+            for row, value in zip(y, batch):
+                assert _log_likelihoods([row[None]], trellis, 0.6, 1)[0] == value
+
+    def test_m_step_paths_walk_next_state(self):
+        for ch, x in KERNEL_CASES + ((ChannelResponse((0.5, 0.6, -0.4, 0.3, 0.2)), bpsk()),):
+            trellis = build_trellis(ch, x)
+            n_states, n_atoms = trellis.outputs.shape
+            if n_states == 1:
+                continue
+            paths = _m_step_paths(trellis)
+            m = ch.length - 1
+            assert paths.shape == (m, n_states**2)
+            seen = set()
+            for old in range(n_states):
+                for word in itertools.product(range(n_atoms), repeat=m):
+                    state, walked = old, []
+                    for atom in word:
+                        walked.append(state * n_atoms + atom)
+                        state = int(trellis.next_state[state, atom])
+                    entry = state * n_states + old
+                    assert entry not in seen
+                    seen.add(entry)
+                    assert list(paths[:, entry]) == walked
 
     def test_state_budget(self):
         ch = ChannelResponse(tuple([0.1] * 22))
         with pytest.raises(BudgetExceeded):
             build_trellis(ch, bpsk())
+
+
+def sparse_log_likelihood(y, trellis, n0):
+    """log p(y) per row of a 2-D y by the sparse recursion alone."""
+    alpha = np.tile(_initial_state_probs(trellis), (y.shape[0], 1))
+    return _sparse_step(y, trellis, n0, alpha, np.zeros(y.shape[0]))[1]
 
 
 # (channel, input) pairs with 4, 9, 27 and 64 states
@@ -120,7 +176,7 @@ class TestSparseRecursion:
         trellis = build_trellis(ch, x)
         y = 1.5 * np.random.default_rng(case).standard_normal(400)
         seq = forward_log_likelihood(y, trellis, 0.4)
-        sparse = _forward_log_likelihood_sparse(y, trellis, 0.4)
+        sparse = sparse_log_likelihood(y[None], trellis, 0.4)[0]
         assert abs(sparse - seq) <= 1e-12 * abs(seq)
 
     @pytest.mark.parametrize("case", [2, 3])
@@ -130,10 +186,10 @@ class TestSparseRecursion:
         ch, x = SPARSE_CASES[case]
         trellis = build_trellis(ch, x)
         y = np.random.default_rng(5).standard_normal((3, 3000))
-        batch = _forward_log_likelihood_sparse(y, trellis, 0.6)
+        batch = sparse_log_likelihood(y, trellis, 0.6)
         assert batch.shape == (3,)
         for row, value in zip(y, batch):
-            assert _forward_log_likelihood_sparse(row, trellis, 0.6) == value
+            assert sparse_log_likelihood(row[None], trellis, 0.6)[0] == value
 
     def test_estimate_rate_matches_oracle(self):
         rho = 10 ** 0.6
@@ -144,8 +200,8 @@ class TestSparseRecursion:
         assert again.notes["per_seed"] == est.notes["per_seed"]
 
     def test_memory_bounded_beyond_dense_scan(self):
-        # 256 states: one dense scan chunk alone would be 2048 x 256^2
-        # doubles (1.1 GB)
+        # 256 states: 2048 dense 256 x 256 step matrices alone would take
+        # 1.1 GB
         ch = ChannelResponse((0.1, 0.2, 0.3, 0.4, 0.6, 0.4, 0.3, 0.2, 0.1))
         rho = 2.0
         tracemalloc.start()
@@ -157,6 +213,42 @@ class TestSparseRecursion:
         assert peak < 64 * 2**20
         ref = oracle_rates(ch, bpsk(), rho, 10_000, 2, seed=3)
         assert np.allclose(est.notes["per_seed"], ref, rtol=1e-12, atol=0.0)
+
+
+class TestStreams:
+    @pytest.mark.parametrize("n", [10_003, 123_457])
+    def test_blocks_equal_one_shot_draw(self, n):
+        n0 = 0.7
+        for ch, x in ((ChannelResponse((1.0,)), bpsk()), (channel_b(), make_trinary(0.2)), (jeong(), bpsk())):
+            taps = np.asarray(ch.taps)
+            mem = taps.size - 1
+            atoms = np.asarray(x.atoms)
+            cum = np.cumsum(x.probs)
+            rng = stream_rng(9, 4)
+            xs = atoms[_sample_indices(rng.random(n + mem), cum)]
+            clean = np.convolve(xs, taps)[mem : mem + n]
+            noise = math.sqrt(n0) * rng.standard_normal(n)
+            stream = IsiOutputStream(9, 4, atoms, cum, taps, n0, n)
+            blocks = [stream.draw(min(997, n - start)) for start in range(0, n, 997)]
+            assert np.array_equal(np.concatenate([c for c, _ in blocks]), clean)
+            assert np.array_equal(np.concatenate([z for _, z in blocks]), noise)
+
+    def test_per_seed_rates_independent_of_seed_count(self):
+        for ch, x in ((channel_b(), make_trinary(0.01)), (ChannelResponse((0.5, 0.6, -0.4, 0.3)), make_trinary(0.2))):
+            two = estimate_rate(ch, x, 1.0, 10_001, 2, seed=4)
+            three = estimate_rate(ch, x, 1.0, 10_001, 3, seed=4)
+            assert three.notes["per_seed"][:2] == two.notes["per_seed"]
+
+    def test_memory_bounded_independent_of_n(self):
+        # the (n_seeds, n) output buffer alone would take 128 MB
+        tracemalloc.start()
+        try:
+            est = estimate_rate(channel_b(), make_trinary(0.01), 1.0, 2_000_000, 8, seed=6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert 0.0 < est.value < make_trinary(0.01).entropy
 
 
 class TestEstimateRate:
@@ -201,11 +293,11 @@ class TestEstimateRate:
                 u[0] = 0.99999999999995
                 return u
 
-            def standard_normal(self, n):
-                return self._rng.standard_normal(n)
+            def __getattr__(self, name):
+                return getattr(self._rng, name)
 
         monkeypatch.setattr(
-            isirate.rate_sim, "stream_rng", lambda seed, s: InjectedUniform(stream_rng(seed, s))
+            isirate.montecarlo, "stream_rng", lambda seed, s: InjectedUniform(stream_rng(seed, s))
         )
         est = estimate_rate(channel_b(), x, 1.0, 20_000, 2, seed=5)
         assert math.isfinite(est.value)
