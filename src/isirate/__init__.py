@@ -21,7 +21,6 @@ from .scalar import (
     make_skewed_binary,
     make_trinary,
     mmse,
-    mmse_binary,
     mutual_info,
     q_tail,
 )

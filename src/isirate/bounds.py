@@ -4,12 +4,15 @@ The central object is the unbiased-DFE channel z = x_0 + sum_k alpha_k x_k + m,
 a DfeDesign. Its mutual information is evaluated two independent ways:
 exact enumeration of the interference mixture (i_mmse_exact), which raises
 BudgetExceeded past _BUDGET components, and pattern-sampling Monte Carlo
-against a characteristic-function density table (i_mmse_mc). bound_report
-takes the route it is asked for and never swaps one for the other. Around
-it sit the single-letter proxies (i_sow, i_sl), the low-SNR gap expansion,
-the genie MMSE lower bound and the Information-Estimation bound family.
-Each bound built on the DFE has one form, f(design, x); i_sow needs no
-design and takes (channel, x, rho). All rates are nats.
+against a characteristic-function density table (i_mmse_mc). The Monte
+Carlo route reads, per sample, one 64-bit Philox word per tap, sample
+after sample, and then each stream's normals; it draws the words in
+blocks of _MC_BLOCK, so its memory is O(block), not O(samples x taps).
+bound_report takes the route it is asked for and never swaps one for the
+other. Around it sit the single-letter proxies (i_sow, i_sl), the low-SNR
+gap expansion, the genie MMSE lower bound and the Information-Estimation
+bound family. Each bound built on the DFE has one form, f(design, x);
+i_sow needs no design and takes (channel, x, rho). All rates are nats.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .channel import ChannelResponse, log_mean_spectrum
 from .equalizer import DfeDesign, design_mmse_dfe
 from .errors import BudgetExceeded, DomainError, NonConvergent
 from .gaussmix import consolidate_atoms, mixture_entropy
-from .montecarlo import RateEstimate, _sample_indices, stream_rng
+from .montecarlo import RateEstimate, stream_rng
 from .scalar import InputDistribution, discrete_mmse, mmse, mutual_info
 
 _HALF_LOG_2PIE = 0.5 * math.log(2.0 * math.pi * math.e)
@@ -189,6 +192,8 @@ def i_mmse_exact(design: DfeDesign, x: InputDistribution) -> ImmseExact:
 
 # Elements of one block of per-tap factors in _char_fn (2 MB of float64).
 _CF_BLOCK = 2**18
+# Philox words of one block of pattern draws in i_mmse_mc (128 KB)
+_MC_BLOCK = 2**14
 # FFT grid points per noise sigma, and the padding in sigmas on each side
 _GRID_PPS = 32
 _GRID_PAD = 16.0
@@ -218,14 +223,24 @@ def _frequencies(n: int, dy: float) -> np.ndarray:
 
 
 def _char_fn(taps, atoms, probs, sigma: float, omega: np.ndarray) -> np.ndarray:
-    """Phi(w) = exp(-sigma^2 w^2 / 2) prod_k E e^{i w t_k x} at the frequencies w."""
+    """Phi(w) = exp(-sigma^2 w^2 / 2) prod_k E e^{i w t_k x} at the ascending
+    frequencies w >= 0.
+
+    The per-tap factors are multiplied in only over the leading frequencies
+    where the Gaussian factor has not underflowed to 0; past them Phi is 0
+    whatever the taps give. The taps are still blocked by the length of the
+    whole grid, which keeps those leading values bit for bit those of a
+    product over every frequency.
+    """
     taps = np.asarray(taps, dtype=float)
-    phi = np.exp(-0.5 * (sigma * omega) ** 2).astype(complex)
+    gauss = np.exp(-0.5 * (sigma * omega) ** 2)
+    phi = gauss.astype(complex)
+    live = phi[: np.count_nonzero(gauss)]
     block = max(1, _CF_BLOCK // (atoms.size * omega.size))
     for i in range(0, taps.size, block):
-        arg = np.multiply.outer(np.multiply.outer(taps[i : i + block], atoms), omega)
+        arg = np.multiply.outer(np.multiply.outer(taps[i : i + block], atoms), omega[: live.size])
         # (k, |A|, w) -> (k, w): each tap's E e^{i w t x}, then their product
-        phi *= (probs @ np.cos(arg) + 1j * (probs @ np.sin(arg))).prod(axis=0)
+        live *= (probs @ np.cos(arg) + 1j * (probs @ np.sin(arg))).prod(axis=0)
     return phi
 
 
@@ -288,6 +303,18 @@ def _density_tables(taps1, atoms, probs, sigma: float):
     return _LogDensityTable(lo, dy, n, phi0), _LogDensityTable(lo, dy, n, phi1)
 
 
+def _thresholds(cum: np.ndarray) -> np.ndarray:
+    """Integer thresholds of the pattern draws under the cumulative
+    probabilities cum.
+
+    A uniform is u = (w >> 11) 2^-53 for the 64-bit Philox word w, so
+    u > cum_k exactly when (w >> 11) > floor(cum_k 2^53). The last entry of
+    cum is left out, as in _sample_indices: a u above a rounded cum[-1] < 1
+    still maps to the last atom.
+    """
+    return np.floor(np.ldexp(cum[:-1], 53)).astype(np.uint64)
+
+
 def i_mmse_mc(
     design: DfeDesign,
     x: InputDistribution,
@@ -299,7 +326,14 @@ def i_mmse_mc(
     Per sample, I is estimated by log p1(mu_1 + m) - log p0(x_0 + mu_1 + m)
     with a shared pattern and noise draw in both terms; the streams are
     independent (_MC_STREAMS of them) and the result is deterministic for a
-    given seed.
+    given seed. Stream s, ``stream_rng(seed, s)``, gives each of its samples
+    one 64-bit Philox word per tap, x_0 first, sample after sample, and then
+    that stream's normals: the words of ``random((m, taps + 1))`` followed
+    by ``standard_normal(m)``. The words are drawn in blocks of about
+    _MC_BLOCK and compared with integer thresholds (_thresholds); with
+    I_k the indicator of u > cum_k, the interference is
+    a_0 sum t + sum_k (a_{k+1} - a_k) (I_k @ t), and x_0 is formed the same
+    way. Memory is O(block + samples per stream), not O(samples x taps).
     """
     if n_samples < 10**4:
         raise DomainError("n_samples must be at least 1e4")
@@ -311,17 +345,30 @@ def i_mmse_mc(
     audit = max(table0.audit_err, table1.audit_err)
     if audit > 1e-2:
         raise NonConvergent(f"density table failed its self-check ({audit:.2e})")
-    cum = np.cumsum(probs)
+    thresholds = _thresholds(np.cumsum(probs))
+    steps = np.diff(atoms)
+    width = taps1.size + 1
+    rows = max(1, _MC_BLOCK // width)
+    indicator = np.empty(rows * width)
     per = n_samples // _MC_STREAMS
     counts = [per + (1 if s < n_samples - per * _MC_STREAMS else 0) for s in range(_MC_STREAMS)]
     total = 0.0
     total_sq = 0.0
     for s, m in enumerate(counts):
         rng = stream_rng(seed, s)
-        vals = atoms.take(_sample_indices(rng.random((m, taps1.size + 1)), cum))
-        c = vals[:, 1:] @ taps1
+        x0 = np.full(m, atoms[0])
+        c = np.full(m, atoms[0] * taps1.sum())
+        for start in range(0, m, rows):
+            r = min(rows, m - start)
+            words = rng.bit_generator.random_raw(r * width).reshape(r, width)
+            words >>= 11
+            ind = indicator[: r * width].reshape(r, width)
+            for thr, step in zip(thresholds, steps):
+                np.greater(words, thr, out=ind)
+                x0[start : start + r] += step * ind[:, 0]
+                c[start : start + r] += step * (ind[:, 1:] @ taps1)
         y1 = c + sigma * rng.standard_normal(m)
-        y0 = vals[:, 0] + y1
+        y0 = x0 + y1
         d = table1(y1) - table0(y0)
         total += float(d.sum())
         total_sq += float(d @ d)

@@ -17,8 +17,7 @@ estimates agree; the last difference is the error estimate. The entropy
 and the conditional second moment differ only in their integrands,
 -p log p and num^2/p. Components further than ``_WINDOW_SIGMAS`` standard
 deviations from an evaluation block are skipped; their contribution is
-below 1e-40 of the local density. ``gl_integrate``, composite
-Gauss-Legendre panels under the same loop, serves the binary MMSE oracle.
+below 1e-40 of the local density.
 """
 
 from __future__ import annotations
@@ -26,8 +25,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NonConvergent
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 _WINDOW_SIGMAS = 14.0
 _TAIL_SIGMAS = 10.0
@@ -40,22 +37,8 @@ _MIXTURE_LEVELS = 10
 _MIXTURE_REL_TOL = 1e-12
 _ENTROPY_ABS_TOL = 1e-13
 _MOMENT_ABS_TOL = 1e-14
-# gl_integrate: up to 12 doublings of the panel count.
-_GL_MAX_LEVELS = 12
-_GL_REL_TOL = 1e-13
-_GL_ABS_TOL = 1e-14
 # Atoms closer than this, relative to max(1, largest |value|), are merged.
 _ATOM_TOL = 1e-12
-
-
-def _panel_nodes(lo: float, hi: float, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of a composite Gauss-Legendre rule on [lo, hi]."""
-    edges = np.linspace(lo, hi, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    nodes = (mid[:, None] + half * _GL_NODES[None, :]).ravel()
-    weights = np.broadcast_to(half * _GL_WEIGHTS[None, :], (n_panels, _GL_NODES.size)).ravel()
-    return nodes, weights
 
 
 def _mixture_eval(
@@ -154,7 +137,7 @@ def mixture_entropy(means, weights, sigma: float) -> tuple[float, float]:
     """Differential entropy (nats) of the mixture, with an error estimate.
 
     Returns ``(h, err)`` where ``err`` is the last inter-refinement
-    difference. Raises NonConvergent if panel doubling stalls.
+    difference. Raises NonConvergent if step halving stalls.
     """
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
@@ -199,15 +182,3 @@ def consolidate_atoms(values, weights) -> tuple[np.ndarray, np.ndarray]:
     np.add.at(merged_v, group, vals * wts)
     merged_v /= merged_w
     return merged_v, merged_w
-
-
-def gl_integrate(f, lo: float, hi: float, min_panels: int = 8) -> float:
-    """Composite Gauss-Legendre integral of f on [lo, hi], doubling the
-    panel count from ``min_panels`` until two estimates agree."""
-
-    def estimate(level: int) -> float:
-        nodes, qw = _panel_nodes(lo, hi, min_panels * 2**level)
-        return float(f(nodes) @ qw)
-
-    value, _ = _refine(estimate, _GL_MAX_LEVELS, _GL_REL_TOL, _GL_ABS_TOL)
-    return value

@@ -129,21 +129,32 @@ def _m_step_paths(trellis: Trellis) -> np.ndarray:
     return np.stack(branches)[:, order]
 
 
-def _memoryless_step(
-    y: np.ndarray, trellis: Trellis, n0: float, log_p: np.ndarray
-) -> np.ndarray:
-    """log p(y_k) = log sum_a P(a) phi(y_k - out_a), summed per row of y."""
-    weights = trellis.probs / math.sqrt(2.0 * math.pi * n0)
-    mix = np.zeros(y.shape)
-    like = np.empty(y.shape)
-    for out, weight in zip(trellis.outputs[0], weights):
-        np.subtract(y, out, out=like)
-        like *= like
-        like *= -0.5 / n0
-        np.exp(like, out=like)
-        like *= weight
-        mix += like
-    return log_p + np.log(mix, out=mix).sum(axis=1)
+class _MemorylessStep:
+    """log p(y_k) = log sum_a P(a) phi(y_k - out_a), summed per row of y.
+
+    The two block-sized temporaries are held from block to block and grow
+    only when a block is larger than any before it.
+    """
+
+    def __init__(self, trellis: Trellis, n0: float):
+        self.outputs = trellis.outputs[0]
+        self.weights = trellis.probs / math.sqrt(2.0 * math.pi * n0)
+        self.n0 = n0
+        self.bufs = (np.empty(0), np.empty(0))
+
+    def advance(self, y: np.ndarray, log_p: np.ndarray) -> np.ndarray:
+        if self.bufs[0].size < y.size:
+            self.bufs = (np.empty(y.size), np.empty(y.size))
+        mix, like = (buf[: y.size].reshape(y.shape) for buf in self.bufs)
+        mix.fill(0.0)
+        for out, weight in zip(self.outputs, self.weights):
+            np.subtract(y, out, out=like)
+            like *= like
+            like *= -0.5 / self.n0
+            np.exp(like, out=like)
+            like *= weight
+            mix += like
+        return log_p + np.log(mix, out=mix).sum(axis=1)
 
 
 class _DenseScan:
@@ -231,14 +242,8 @@ class _DenseScan:
         return alpha, log_p
 
 
-def _sparse_step(
-    y: np.ndarray,
-    trellis: Trellis,
-    n0: float,
-    alpha: np.ndarray,
-    log_p: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Advance (alpha, log_p) of every row of y by the sparse recursion.
+class _SparseStep:
+    """The sparse recursion of one trellis, for n_rows rows at a time.
 
     Writing a state as s = d R + r with R = S/|A| and d the digit that is
     shifted out, the successor of s under atom a is a + |A| r, so one step
@@ -247,38 +252,61 @@ def _sparse_step(
     the log domain with the per-step maximum taken out, alpha is
     renormalized every step and the logs of the scales are taken once per
     chunk. Rows are independent realizations (seeds), and a row's result
-    is the same in any batch. Needs a channel with memory (S >= |A|).
+    is the same in any batch. Needs a channel with memory (S >= |A|). As
+    in _DenseScan, the chunk and per-step work space is allocated once.
     """
-    n_rows, n = y.shape
-    n_states, n_atoms = trellis.outputs.shape
-    tail = n_states // n_atoms
-    outputs = trellis.outputs.ravel()
-    log_prior = np.tile(
-        np.log(trellis.probs) - 0.5 * math.log(2.0 * math.pi * n0), n_states
-    )
-    chunk = max(1, _SPARSE_CHUNK_ELEMENTS // (n_rows * n_states * n_atoms))
-    for start in range(0, n, chunk):
-        yc = y[:, start : start + chunk].T  # (steps, rows)
-        steps = yc.shape[0]
-        w = yc[:, :, None] - outputs
-        w *= w
-        w *= -0.5 / n0
-        w += log_prior
-        peak = w.max(axis=2)
-        w -= peak[:, :, None]
-        np.exp(w, out=w)
-        w = w.reshape(steps, n_rows, n_atoms, tail, n_atoms)
-        scales = np.empty((steps, n_rows))
-        for t in range(steps):
-            new = (alpha.reshape(n_rows, n_atoms, tail, 1) * w[t]).sum(axis=1)
-            new = new.reshape(n_rows, n_states)
-            np.sum(new, axis=1, out=scales[t])
-            alpha = new / scales[t][:, None]
-        # a sequential running sum, unlike a pairwise one, does not depend on
-        # where the chunks start, which keeps rows independent of the batch
-        steps_log_p = np.concatenate([log_p[None], peak + np.log(scales)])
-        log_p = np.cumsum(steps_log_p, axis=0)[-1]
-    return alpha, log_p
+
+    def __init__(self, trellis: Trellis, n0: float, n_rows: int):
+        n_states, n_atoms = trellis.outputs.shape
+        self.shape = (n_rows, n_atoms, n_states // n_atoms, n_atoms)
+        self.n0 = n0
+        self.outputs = trellis.outputs.ravel()
+        self.log_prior = np.tile(
+            np.log(trellis.probs) - 0.5 * math.log(2.0 * math.pi * n0), n_states
+        )
+        self.chunk = max(1, _SPARSE_CHUNK_ELEMENTS // (n_rows * n_states * n_atoms))
+        self.w = np.empty((self.chunk, n_rows, n_states * n_atoms))
+        self.peak = np.empty((self.chunk, n_rows))
+        self.scales = np.empty((self.chunk, n_rows))
+        self.steps_log_p = np.empty((self.chunk + 1, n_rows))
+        self.product = np.empty(self.shape)
+        self.new = np.empty((n_rows, n_states))
+        self.alpha = np.empty((n_rows, n_states))
+
+    def advance(
+        self, y: np.ndarray, alpha: np.ndarray, log_p: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(alpha, log_p) of every row after the steps of y."""
+        n_rows, n_atoms, tail, _ = self.shape
+        held = self.alpha
+        held[...] = alpha
+        new = self.new
+        for start in range(0, y.shape[1], self.chunk):
+            yc = y[:, start : start + self.chunk].T  # (steps, rows)
+            steps = yc.shape[0]
+            w, peak, scales = self.w[:steps], self.peak[:steps], self.scales[:steps]
+            np.subtract(yc[:, :, None], self.outputs, out=w)
+            w *= w
+            w *= -0.5 / self.n0
+            w += self.log_prior
+            np.max(w, axis=2, out=peak)
+            w -= peak[:, :, None]
+            np.exp(w, out=w)
+            w_steps = w.reshape(steps, *self.shape)
+            for t in range(steps):
+                np.multiply(held.reshape(n_rows, n_atoms, tail, 1), w_steps[t], out=self.product)
+                np.sum(self.product, axis=1, out=new.reshape(n_rows, tail, n_atoms))
+                np.sum(new, axis=1, out=scales[t])
+                np.divide(new, scales[t][:, None], out=held)
+            # a sequential running sum, unlike a pairwise one, does not depend
+            # on where the chunks start, which keeps rows independent of the
+            # batch
+            steps_log_p = self.steps_log_p[: steps + 1]
+            steps_log_p[0] = log_p
+            np.log(scales, out=steps_log_p[1:])
+            np.add(peak, steps_log_p[1:], out=steps_log_p[1:])
+            log_p = np.cumsum(steps_log_p, axis=0)[-1]
+        return held.copy(), log_p
 
 
 def _log_likelihoods(
@@ -295,20 +323,25 @@ def _log_likelihoods(
     """
     log_p = np.zeros(n_rows)
     if trellis.n_states == 1:
+        step = _MemorylessStep(trellis, n0)
         for y in blocks:
-            log_p = _memoryless_step(y, trellis, n0, log_p)
+            log_p = step.advance(y, log_p)
         return log_p
     alpha = np.tile(_initial_state_probs(trellis), (n_rows, 1))
     if trellis.n_states > _DENSE_MAX_STATES:
+        sparse = _SparseStep(trellis, n0, n_rows)
         for y in blocks:
-            alpha, log_p = _sparse_step(y, trellis, n0, alpha, log_p)
+            alpha, log_p = sparse.advance(y, alpha, log_p)
         return log_p
     scan = _DenseScan(trellis, n0, n_rows)
     for y in blocks:
         whole = y.shape[1] - y.shape[1] % trellis.memory
         alpha, log_p = scan.advance(y[:, :whole], alpha, log_p)
         if whole < y.shape[1]:
-            alpha, log_p = _sparse_step(y[:, whole:], trellis, n0, alpha, log_p)
+            # fewer than m steps, left only in the last block of a run whose
+            # other blocks are multiples of _block_multiple(trellis)
+            sparse = _SparseStep(trellis, n0, n_rows)
+            alpha, log_p = sparse.advance(y[:, whole:], alpha, log_p)
     return log_p
 
 

@@ -5,8 +5,7 @@ unit-power-normalized input and n standard Gaussian; mmse_x(gamma) is the
 matching estimation error. Both are integrals over the Gaussian-mixture
 output density by the nested trapezoid rule of isirate.gaussmix, which
 converges from gamma = 0 to far past saturation (1e7 and beyond), where
-I_x equals H(x). mmse_binary is the independent tanh-kernel integral for
-equiprobable +-1 input, by Gauss-Legendre panels. Everything is in nats.
+I_x equals H(x). Everything is in nats.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from scipy.special import erfc, erfcx
 from .errors import DomainError
 from .gaussmix import (
     consolidate_atoms,
-    gl_integrate,
     mixture_conditional_second_moment,
     mixture_entropy,
 )
@@ -172,27 +170,6 @@ def discrete_mmse(values, probs, gamma: float) -> float:
         mean = float(np.dot(vals, wts))
         return ez2 - mean * mean
     return ez2 - mixture_conditional_second_moment(vals, wts, gamma)
-
-
-def mmse_binary(gamma: float) -> float:
-    """MMSE for equiprobable +-1 input, via the tanh-kernel integral."""
-    if gamma < 0.0:
-        raise DomainError("gamma must be nonnegative")
-    if gamma == 0.0:
-        return 1.0
-    root = math.sqrt(gamma)
-
-    def integrand(y):
-        return (
-            (1.0 - np.tanh(root * y))
-            * np.exp(-0.5 * (y - root) ** 2)
-            / math.sqrt(2.0 * math.pi)
-        )
-
-    lo = root - 46.0
-    hi = root + 12.0
-    n_panels = max(16, int(math.ceil(hi - lo)))
-    return gl_integrate(integrand, lo, hi, min_panels=n_panels)
 
 
 def q_tail(x) -> np.ndarray | float:

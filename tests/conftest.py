@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from isirate.bounds import _CF_BLOCK, _MC_STREAMS, _density_tables
 from isirate.channel import ChannelResponse, transfer_power
-from isirate.errors import NonConvergent
+from isirate.errors import DomainError, NonConvergent
+from isirate.gaussmix import _refine
+from isirate.montecarlo import _sample_indices, stream_rng
 
 
 def random_unit_channel(rng: np.random.Generator, max_len: int = 6) -> ChannelResponse:
@@ -81,6 +84,97 @@ def forward_log_likelihood(y, trellis, n0: float, renorm_every: int = 1) -> floa
             state_p /= scale
     total = state_p.sum()
     return log_p + (math.log(total) if total > 0.0 else -math.inf)
+
+
+def char_fn_full_grid(taps, atoms, probs, sigma: float, omega: np.ndarray) -> np.ndarray:
+    """Phi(w) = exp(-sigma^2 w^2 / 2) prod_k E e^{i w t_k x}, every per-tap
+    factor multiplied in at every frequency, in blocks of taps sized by the
+    whole grid: the oracle of the library's _char_fn."""
+    taps = np.asarray(taps, dtype=float)
+    phi = np.exp(-0.5 * (sigma * omega) ** 2).astype(complex)
+    block = max(1, _CF_BLOCK // (atoms.size * omega.size))
+    for i in range(0, taps.size, block):
+        arg = np.multiply.outer(np.multiply.outer(taps[i : i + block], atoms), omega)
+        phi *= (probs @ np.cos(arg) + 1j * (probs @ np.sin(arg))).prod(axis=0)
+    return phi
+
+
+def i_mmse_mc_one_shot(design, x, n_samples: int, seed: int) -> tuple[float, float]:
+    """(value, std_error) of the MC I_MMSE with each stream's patterns drawn
+    in one piece: ``random((m, taps + 1))`` uniforms mapped to atoms by
+    searchsorted, then ``standard_normal(m)``. The oracle of the block
+    sampler of i_mmse_mc, which must draw the same patterns and normals."""
+    atoms = np.asarray(x.atoms)
+    probs = np.asarray(x.probs)
+    sigma = math.sqrt(design.noise_var)
+    taps1 = design.residual
+    table0, table1 = _density_tables(taps1, atoms, probs, sigma)
+    cum = np.cumsum(probs)
+    per = n_samples // _MC_STREAMS
+    counts = [per + (1 if s < n_samples - per * _MC_STREAMS else 0) for s in range(_MC_STREAMS)]
+    d = []
+    for s, m in enumerate(counts):
+        rng = stream_rng(seed, s)
+        vals = atoms.take(_sample_indices(rng.random((m, taps1.size + 1)), cum))
+        y1 = vals[:, 1:] @ taps1 + sigma * rng.standard_normal(m)
+        d.append(table1(y1) - table0(vals[:, 0] + y1))
+    d = np.concatenate(d)
+    mean = float(d.sum()) / n_samples
+    var = (float(d @ d) - n_samples * mean * mean) / (n_samples - 1)
+    return mean, math.sqrt(max(var, 0.0) / n_samples)
+
+
+# Gauss-Legendre panels, 16 nodes each; up to 12 doublings of the panel
+# count, to 1e-13 relative or 1e-14 absolute
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_GL_MAX_LEVELS = 12
+_GL_REL_TOL = 1e-13
+_GL_ABS_TOL = 1e-14
+
+
+def _panel_nodes(lo: float, hi: float, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of a composite Gauss-Legendre rule on [lo, hi]."""
+    edges = np.linspace(lo, hi, n_panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1] - edges[0])
+    nodes = (mid[:, None] + half * _GL_NODES[None, :]).ravel()
+    weights = np.broadcast_to(half * _GL_WEIGHTS[None, :], (n_panels, _GL_NODES.size)).ravel()
+    return nodes, weights
+
+
+def gl_integrate(f, lo: float, hi: float, min_panels: int = 8) -> float:
+    """Composite Gauss-Legendre integral of f on [lo, hi], doubling the
+    panel count from ``min_panels`` until two estimates agree."""
+
+    def estimate(level: int) -> float:
+        nodes, qw = _panel_nodes(lo, hi, min_panels * 2**level)
+        return float(f(nodes) @ qw)
+
+    value, _ = _refine(estimate, _GL_MAX_LEVELS, _GL_REL_TOL, _GL_ABS_TOL)
+    return value
+
+
+def mmse_binary(gamma: float) -> float:
+    """MMSE for equiprobable +-1 input, via the tanh-kernel integral by
+    Gauss-Legendre panels: an oracle for the library's mixture quadrature
+    that shares only the refine-until-agree loop with it."""
+    if gamma < 0.0:
+        raise DomainError("gamma must be nonnegative")
+    if gamma == 0.0:
+        return 1.0
+    root = math.sqrt(gamma)
+
+    def integrand(y):
+        return (
+            (1.0 - np.tanh(root * y))
+            * np.exp(-0.5 * (y - root) ** 2)
+            / math.sqrt(2.0 * math.pi)
+        )
+
+    lo = root - 46.0
+    hi = root + 12.0
+    n_panels = max(16, int(math.ceil(hi - lo)))
+    return gl_integrate(integrand, lo, hi, min_panels=n_panels)
 
 
 @pytest.fixture

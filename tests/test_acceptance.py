@@ -32,12 +32,16 @@ from isirate.scalar import (
     make_skewed_binary,
     make_trinary,
     mmse,
-    mmse_binary,
     mutual_info,
     q_tail,
 )
 
-from conftest import forward_log_likelihood, quadrature_summary, random_unit_channel
+from conftest import (
+    forward_log_likelihood,
+    mmse_binary,
+    quadrature_summary,
+    random_unit_channel,
+)
 
 LOG2 = math.log(2.0)
 

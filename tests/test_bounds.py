@@ -14,6 +14,7 @@ from isirate.bounds import (
     _frequencies,
     _log_min_patterns,
     _LogDensityTable,
+    _thresholds,
     bound_report,
     genie_equal_sigma,
     genie_mmse_lower,
@@ -32,11 +33,12 @@ from isirate.bounds import (
 )
 import isirate.bounds
 import isirate.channel
-from isirate.channel import ChannelResponse, channel_b, jeong, spectral_summary
+from isirate.channel import ChannelResponse, channel_b, jeong, jeong_spaced, spectral_summary
 from isirate.equalizer import design_mmse_dfe
 from isirate.errors import BudgetExceeded, DomainError
-from isirate.montecarlo import _sample_indices
+from isirate.montecarlo import _sample_indices, stream_rng
 from isirate.scalar import (
+    InputDistribution,
     bpsk,
     discrete_mmse,
     make_skewed_binary,
@@ -45,7 +47,8 @@ from isirate.scalar import (
     mutual_info,
 )
 
-from conftest import quadrature_summary
+import conftest
+from conftest import char_fn_full_grid, i_mmse_mc_one_shot, quadrature_summary
 
 
 def two_tap_channel(q):
@@ -188,6 +191,152 @@ class TestImmseMc:
         d = design_mmse_dfe(two_tap_channel(0.5), bpsk(), 1.0)
         with pytest.raises(DomainError):
             i_mmse_mc(d, bpsk(), 100, seed=1)
+
+
+SAMPLER_INPUTS = {
+    "bpsk": bpsk(),
+    "skewed_binary(0.002)": make_skewed_binary(0.002),
+    "trinary(0.01)": make_trinary(0.01),
+    "pam4": InputDistribution((-3.0, -1.0, 1.0, 3.0), (0.25, 0.25, 0.25, 0.25)),
+}
+
+
+class TestBlockSampler:
+    """i_mmse_mc draws the one-shot sampler's patterns and normals."""
+
+    @pytest.mark.parametrize("name", SAMPLER_INPUTS)
+    def test_thresholds_match_uniforms(self, name):
+        cum = np.cumsum(SAMPLER_INPUTS[name].probs)
+        thresholds = _thresholds(cum)
+        assert thresholds.size == cum.size - 1
+        words = stream_rng(21, 3).bit_generator.random_raw(100_000) >> 11
+        u = stream_rng(21, 3).random(100_000)
+        for thr, c in zip(thresholds, cum):
+            assert np.array_equal(words > thr, u > c)
+
+    @pytest.mark.parametrize(
+        "cum",
+        [
+            # cum_k an exact multiple of 2^-53, small and in [1/2, 1)
+            [12345 * 2.0**-53, 0.75, 1.0],
+            # the next double below a multiple, itself no multiple of 2^-53
+            [np.nextafter(12345 * 2.0**-53, 0.0), np.nextafter(0.25, 0.0), 1.0],
+            # a cumulative sum rounded below 1
+            [0.25, 0.5, 1.0 - 2.0**-52],
+        ],
+    )
+    def test_threshold_boundaries(self, cum):
+        cum = np.array(cum)
+        thresholds = _thresholds(cum)
+        # every 53-bit word within two of a threshold, and the largest word
+        v = np.concatenate([np.floor(c * 2.0**53) + np.arange(-2, 3) for c in cum[:-1]])
+        v = np.append(v, 2.0**53 - 1).astype(np.uint64)
+        u = v * 2.0**-53  # exact, as in Generator.random
+        count = (v[:, None] > thresholds[None, :]).sum(axis=1)
+        assert np.array_equal(count, _sample_indices(u, cum))
+        assert count.max() == cum.size - 1
+
+    @pytest.mark.parametrize("name", [*SAMPLER_INPUTS, "rounded"])
+    def test_boundary_words_through_both_samplers(self, monkeypatch, name):
+        # every word sits on a threshold, next to one, or at either end
+        # of the 53-bit range, so a mapping off by one word shows up
+        if name == "rounded":  # cumsum ends at 1 - 2^-53
+            x = InputDistribution((-1.0, 0.0, 0.3 / 0.5499999999999999), (0.3, 0.15, 0.5499999999999999))
+            assert np.cumsum(x.probs)[-1] < 1.0
+        else:
+            x = SAMPLER_INPUTS[name]
+        top = 2**53 - 1
+        near = [v for t in _thresholds(np.cumsum(x.probs)) for v in (int(t) - 1, int(t), int(t) + 1)]
+        v = np.array([0, top] + [min(max(v, 0), top) for v in near], dtype=np.uint64)
+        words = v << np.uint64(11) | np.uint64(0x5A5)  # the low bits are dropped
+
+        class BoundaryWords:
+            """Cycles through ``words``; random() and random_raw() share them."""
+
+            def __init__(self, seed, stream):
+                self.bit_generator = self
+                self.pos = 0
+                self.normals = np.random.default_rng([seed, stream])
+
+            def random_raw(self, n):
+                out = words[(self.pos + np.arange(n)) % words.size]
+                self.pos += n
+                return out
+
+            def random(self, shape):
+                return (self.random_raw(math.prod(shape)) >> np.uint64(11)).reshape(shape) * 2.0**-53
+
+            def standard_normal(self, m):
+                return self.normals.standard_normal(m)
+
+        monkeypatch.setattr(isirate.bounds, "stream_rng", BoundaryWords)
+        monkeypatch.setattr(conftest, "stream_rng", BoundaryWords)
+        d = design_mmse_dfe(channel_b(), x, 2.0)
+        est = i_mmse_mc(d, x, 10_001, seed=5)
+        value, std_error = i_mmse_mc_one_shot(d, x, 10_001, 5)
+        assert abs(est.value - value) <= 1e-14
+        assert abs(est.std_error - std_error) <= 1e-14
+
+    @pytest.mark.parametrize("ch", [channel_b(), jeong(), jeong_spaced()], ids=["b", "jeong", "spaced"])
+    @pytest.mark.parametrize("name", ["bpsk", "skewed_binary(0.002)", "trinary(0.01)"])
+    def test_char_fn_equals_full_grid(self, ch, name):
+        x = SAMPLER_INPUTS[name]
+        for snr_db in (-12.0, -5.0, 2.5, 10.0, 15.0):
+            taps1, atoms, probs, sigma = _table_inputs(ch, x, snr_db)
+            _, dy, n = _fft_grid(np.concatenate(([1.0], taps1)), atoms, sigma)
+            omega = _frequencies(n, dy)
+            phi = _char_fn(taps1, atoms, probs, sigma, omega)
+            assert np.count_nonzero(phi) < phi.size  # the Gaussian underflows
+            assert np.array_equal(phi, char_fn_full_grid(taps1, atoms, probs, sigma, omega))
+            assert np.array_equal(
+                _char_fn(np.ones(1), atoms, probs, 0.0, omega),
+                char_fn_full_grid(np.ones(1), atoms, probs, 0.0, omega),
+            )
+
+    @pytest.mark.parametrize(
+        "ch,name,snr_db,n_samples",
+        [
+            (ChannelResponse((1.0,)), "bpsk", 0.0, 10_003),  # empty residual
+            (ChannelResponse((1.0,)), "trinary(0.01)", 5.0, 10_000),
+            (channel_b(), "skewed_binary(0.002)", 2.5, 10_003),
+            (channel_b(), "trinary(0.01)", -5.0, 20_000),
+            (jeong(), "bpsk", 0.0, 10_003),
+            (jeong(), "pam4", 6.0, 10_005),
+        ],
+    )
+    def test_matches_one_shot(self, ch, name, snr_db, n_samples):
+        x = SAMPLER_INPUTS[name]
+        d = design_mmse_dfe(ch, x, 10 ** (snr_db / 10))
+        est = i_mmse_mc(d, x, n_samples, seed=13)
+        value, std_error = i_mmse_mc_one_shot(d, x, n_samples, 13)
+        assert abs(est.value - value) <= 1e-14
+        assert abs(est.std_error - std_error) <= 1e-14
+
+    @pytest.mark.parametrize("block", [1, 1000])
+    def test_rows_not_dividing_the_stream(self, monkeypatch, block):
+        # jeong at 0 dB has 57 residual taps: one row per block, or 17 rows
+        # per block against streams of 1250 and 1251 samples
+        x = make_skewed_binary(0.002)
+        d = design_mmse_dfe(jeong(), x, 1.0)
+        monkeypatch.setattr(isirate.bounds, "_MC_BLOCK", block)
+        rows = max(1, block // (d.residual.size + 1))
+        assert 1250 % rows or rows == 1
+        est = i_mmse_mc(d, x, 10_003, seed=2)
+        value, std_error = i_mmse_mc_one_shot(d, x, 10_003, 2)
+        assert abs(est.value - value) <= 1e-14
+        assert abs(est.std_error - std_error) <= 1e-14
+
+    def test_memory_is_one_block_not_samples_times_taps(self):
+        # 1045 residual taps x 2e5 samples: the one-shot sampler holds
+        # three 26 MB arrays per stream and peaks at about 624 MB
+        d = design_mmse_dfe(jeong_spaced(), bpsk(), 10**1.5)
+        tracemalloc.start()
+        try:
+            i_mmse_mc(d, bpsk(), 200_000, 7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 def _direct_log(ys, taps, atoms, probs, sigma, dy, n):

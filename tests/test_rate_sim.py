@@ -16,7 +16,7 @@ from isirate.rate_sim import (
     _initial_state_probs,
     _log_likelihoods,
     _m_step_paths,
-    _sparse_step,
+    _SparseStep,
     build_trellis,
     estimate_rate,
 )
@@ -137,7 +137,7 @@ class TestForwardRecursion:
 def sparse_log_likelihood(y, trellis, n0):
     """log p(y) per row of a 2-D y by the sparse recursion alone."""
     alpha = np.tile(_initial_state_probs(trellis), (y.shape[0], 1))
-    return _sparse_step(y, trellis, n0, alpha, np.zeros(y.shape[0]))[1]
+    return _SparseStep(trellis, n0, y.shape[0]).advance(y, alpha, np.zeros(y.shape[0]))[1]
 
 
 # (channel, input) pairs with 4, 9, 27 and 64 states

@@ -19,11 +19,12 @@ from isirate.scalar import (
     make_skewed_binary,
     make_trinary,
     mmse,
-    mmse_binary,
     mutual_info,
     parse_input_spec,
     q_tail,
 )
+
+from conftest import mmse_binary
 
 PRESETS = {
     "bpsk": bpsk(),
