@@ -10,7 +10,6 @@ from .channel import (
     jeong,
     jeong_spaced,
     spectral_summary,
-    to_minimum_phase,
     transfer_power,
 )
 from .scalar import (

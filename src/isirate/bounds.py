@@ -26,7 +26,7 @@ from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 from scipy.special import gammaln, logsumexp
 
-from .channel import ChannelResponse, log_mean_spectrum
+from .channel import ChannelResponse
 from .equalizer import DfeDesign, design_mmse_dfe
 from .errors import BudgetExceeded, DomainError, NonConvergent
 from .gaussmix import consolidate_atoms, mixture_entropy
@@ -48,7 +48,7 @@ _MC_STREAMS = 8
 
 def i_sow(channel: ChannelResponse, x: InputDistribution, rho: float) -> float:
     """I_x at the unbiased ZF-DFE output SNR rho * g_zf_dfe."""
-    return mutual_info(x, rho * math.exp(log_mean_spectrum(channel)))
+    return mutual_info(x, rho * math.exp(channel.log_mean_spectrum))
 
 
 def i_sl(design: DfeDesign, x: InputDistribution) -> float:

@@ -10,14 +10,24 @@ phase (Cioffi, Dudevoir, Eyuboglu and Forney, IEEE Trans. Commun. 1995),
 <log(1 + rho |H|^2)> = log(rho gamma_0) and <1/(1 + rho |H|^2)> =
 sum c_k^2 / (rho gamma_0), c the impulse response of 1/G; <1/|H|^2> is
 sum d_k^2 / K^2 with |H| = K |H_min| and d that of 1/H_min.
+
+Only the factorisation depends on rho. Everything else is SNR-free: the
+leading coefficient and roots, the reflected roots and gain K, the
+autocorrelation, <log |H|^2>, <log^2 |H|^2>, the ZF-LE gain and the
+minimum-phase and unit-energy forms. Each is a cached property of the
+frozen ChannelResponse, computed once per object on first access; the
+cached arrays are read-only.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy.special import spence
 
 from .errors import BudgetExceeded, DomainError, RootFindingFailure
 
@@ -29,9 +39,15 @@ _MAX_INVERSE_LEN = 2**22
 _FACTOR_REL_TOL = 1e-10
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class ChannelResponse:
-    """Real FIR channel taps h_0..h_{L-1}."""
+    """Real FIR channel taps h_0..h_{L-1}, with the SNR-free quantities of
+    the channel as cached properties (module docstring)."""
 
     taps: tuple[float, ...]
 
@@ -52,14 +68,118 @@ class ChannelResponse:
     def energy(self) -> float:
         return float(np.dot(self.taps, self.taps))
 
+    @cached_property
     def normalized(self) -> "ChannelResponse":
-        """Rescale to unit energy (sum h_k^2 = 1)."""
+        """The channel rescaled to unit energy (sum h_k^2 = 1)."""
         return ChannelResponse(tuple(np.asarray(self.taps) / np.sqrt(self.energy())))
 
     @staticmethod
     def from_json(text: str, normalize: bool = False) -> "ChannelResponse":
         ch = ChannelResponse(tuple(json.loads(text)))
-        return ch.normalized() if normalize else ch
+        return ch.normalized if normalize else ch
+
+    @cached_property
+    def lead(self) -> float:
+        """Leading coefficient of H as a polynomial in z^{-1}: the first
+        nonzero tap, since leading zero taps are a pure delay."""
+        return next(t for t in self.taps if t != 0.0)
+
+    @cached_property
+    def roots(self) -> np.ndarray:
+        """Zeros of H as a polynomial in z^{-1}, read-only.
+
+        Leading zero taps are a pure delay and are stripped; they do not
+        change |H(theta)|.
+        """
+        taps = np.asarray(self.taps)
+        taps = taps[np.nonzero(taps)[0][0] :]
+        if taps.size == 1:
+            return _read_only(np.zeros(0, dtype=complex))
+        try:
+            roots = np.roots(taps)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails
+            raise RootFindingFailure(str(exc)) from exc
+        if not np.all(np.isfinite(roots)):
+            raise RootFindingFailure("non-finite channel roots")
+        return _read_only(roots)
+
+    @cached_property
+    def reflected_roots(self) -> np.ndarray:
+        """Roots of the monic minimum-phase H_min with |H| = K |H_min|, read-only:
+        roots u more than 1e-9 outside the unit circle go to 1/conj(u)."""
+        roots = self.roots
+        outside = np.abs(roots) > 1.0 + 1e-9
+        reflected = roots.copy()
+        reflected[outside] = 1.0 / np.conj(roots[outside])
+        return _read_only(reflected)
+
+    @cached_property
+    def reflected_gain(self) -> float:
+        """K = |lead| prod |u| over the reflected roots u."""
+        mags = np.abs(self.roots)
+        return abs(self.lead) * float(np.prod(mags[mags > 1.0 + 1e-9]))
+
+    @cached_property
+    def autocorrelation(self) -> np.ndarray:
+        """r_0..r_{L-1} of the taps, |H(theta)|^2 = r_0 + 2 sum_k r_k cos(k theta),
+        read-only; zero taps at either end leave |H| unchanged and are
+        stripped, so the last lag is nonzero."""
+        taps = np.asarray(self.taps)
+        nz = np.nonzero(taps)[0]
+        taps = taps[nz[0] : nz[-1] + 1]
+        return _read_only(np.correlate(taps, taps, mode="full")[taps.size - 1 :])
+
+    @cached_property
+    def log_mean_spectrum(self) -> float:
+        """<log |H(theta)|^2>, exact via Jensen's formula on the channel roots."""
+        mags = np.abs(self.roots)
+        return float(2.0 * np.log(abs(self.lead)) + 2.0 * np.log(mags[mags > 1.0]).sum())
+
+    @cached_property
+    def log_sq_mean_spectrum(self) -> float:
+        """<log^2 |H(theta)|^2>, exact from the channel roots.
+
+        With the roots reflected into the closed unit disk (u_i), log|H|^2 is
+        A - sum_n 2 Re(sum_i u_i^n e^{-jn theta})/n with A = <log|H|^2>, so
+        its second moment is A^2 + 2 Re sum_{i,k} Li2(u_i conj(u_k)); roots on
+        the unit circle keep every dilogarithm finite.
+        """
+        u = self.roots.copy()
+        outside = np.abs(u) > 1.0
+        u[outside] = 1.0 / np.conj(u[outside])
+        w = (u[:, None] * np.conj(u)[None, :]).ravel()
+        a = self.log_mean_spectrum
+        return float(a * a + 2.0 * np.real(spence(1.0 - w).sum()))
+
+    @cached_property
+    def zf_le_gain(self) -> float:
+        """[<1/|H|^2>]^-1 = K^2 / sum d_k^2, d the impulse response of 1/H_min.
+
+        0 on a spectral null (a root within 1e-9 of the unit circle), and 0
+        when 1/H_min would need more than 2^22 taps: that near-null gain is
+        below the inverse's resolution, indistinguishable from the null."""
+        roots = self.reflected_roots
+        mags = np.abs(roots)
+        if roots.size and np.min(np.abs(mags - 1.0)) <= 1e-9:
+            return 0.0
+        try:
+            d, _ = _inverse(np.real(np.atleast_1d(np.poly(roots))), float(mags.max(initial=0.0)))
+        except BudgetExceeded:
+            return 0.0
+        gain = self.reflected_gain
+        return gain * gain / float(d @ d)
+
+    @cached_property
+    def min_phase(self) -> "ChannelResponse":
+        """Equivalent-magnitude channel with all roots inside or on the unit circle.
+
+        Roots within 1e-9 of the circle are left in place. The result is
+        rescaled so its energy matches the channel's exactly (guards
+        root-finding round-off); leading zero taps (pure delay) are dropped.
+        """
+        taps = np.real(np.atleast_1d(np.poly(self.reflected_roots))) * self.reflected_gain
+        taps = taps * np.sqrt(self.energy() / np.dot(taps, taps))
+        return ChannelResponse(tuple(taps))
 
 
 @dataclass(frozen=True)
@@ -111,59 +231,6 @@ def transfer_power(channel: ChannelResponse, theta) -> np.ndarray | float:
     return float(out) if np.isscalar(theta) or th.ndim == 0 else out
 
 
-def _roots(channel: ChannelResponse) -> tuple[float, np.ndarray]:
-    """Leading coefficient and zeros of H as a polynomial in z^{-1}.
-
-    Leading zero taps are a pure delay and are stripped; they do not
-    change |H(theta)|.
-    """
-    taps = np.asarray(channel.taps, dtype=float)
-    nz = np.nonzero(taps)[0]
-    taps = taps[nz[0] :]
-    if taps.size == 1:
-        return float(taps[0]), np.zeros(0, dtype=complex)
-    try:
-        roots = np.roots(taps)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails
-        raise RootFindingFailure(str(exc)) from exc
-    if not np.all(np.isfinite(roots)):
-        raise RootFindingFailure("non-finite channel roots")
-    return float(taps[0]), roots
-
-
-def log_mean_spectrum(channel: ChannelResponse) -> float:
-    """<log |H(theta)|^2>, exact via Jensen's formula on the channel roots."""
-    lead, roots = _roots(channel)
-    mags = np.abs(roots)
-    return float(2.0 * np.log(abs(lead)) + 2.0 * np.log(mags[mags > 1.0]).sum())
-
-
-def _reflect_inside(channel: ChannelResponse) -> tuple[float, np.ndarray]:
-    """Gain K and roots of the monic minimum-phase H_min with |H| = K |H_min|:
-    roots u more than 1e-9 outside the unit circle go to 1/conj(u), and
-    K = |lead| prod |u| over them."""
-    lead, roots = _roots(channel)
-    mags = np.abs(roots)
-    outside = mags > 1.0 + 1e-9
-    gain = abs(lead) * float(np.prod(mags[outside]))
-    reflected = roots.copy()
-    reflected[outside] = 1.0 / np.conj(roots[outside])
-    return gain, reflected
-
-
-def to_minimum_phase(channel: ChannelResponse) -> ChannelResponse:
-    """Equivalent-magnitude channel with all roots inside or on the unit circle.
-
-    Roots within 1e-9 of the circle are left in place. The result is
-    rescaled so its energy matches the input exactly (guards root-finding
-    round-off); leading zero taps (pure delay) are dropped.
-    """
-    gain, roots = _reflect_inside(channel)
-    taps = np.real(np.atleast_1d(np.poly(roots))) * gain
-    taps = taps * np.sqrt(channel.energy() / np.dot(taps, taps))
-    return ChannelResponse(tuple(taps))
-
-
 def _inverse(poly: np.ndarray, r_max: float) -> tuple[np.ndarray, int]:
     """(p_0..p_{n-1}, m): impulse response of 1/P, P monic with roots inside
     the unit circle up to modulus r_max, by an n-point FFT. m taps bring the
@@ -204,21 +271,11 @@ def _min_phase_factor(r: np.ndarray) -> tuple[np.ndarray, float]:
     return g, float(np.abs(inside).max(initial=0.0))
 
 
-def _autocorrelation(channel: ChannelResponse) -> np.ndarray:
-    """r_0..r_{L-1} of the taps, |H(theta)|^2 = r_0 + 2 sum_k r_k cos(k theta);
-    zero taps at either end leave |H| unchanged and are stripped, so the
-    last lag is nonzero."""
-    taps = np.asarray(channel.taps, dtype=float)
-    nz = np.nonzero(taps)[0]
-    taps = taps[nz[0] : nz[-1] + 1]
-    return np.correlate(taps, taps, mode="full")[taps.size - 1 :]
-
-
 def _dfe_factor(channel: ChannelResponse, rho: float) -> tuple[float, np.ndarray, int]:
     """(gaussian_rate, c, m) of the one factorisation behind every summary
     at rho: log(rho gamma_0) = log1p(rho r_0) - log1p(sum_{i>=1} g_i^2),
     free of cancellation, and (c, m) = _inverse of G."""
-    r = _autocorrelation(channel)
+    r = channel.autocorrelation.copy()
     energy = float(r[0])
     r[0] += 1.0 / rho
     g, r_max = _min_phase_factor(r)
@@ -227,45 +284,28 @@ def _dfe_factor(channel: ChannelResponse, rho: float) -> tuple[float, np.ndarray
     return gaussian_rate, c, m
 
 
-def _zf_le_gain(channel: ChannelResponse) -> float:
-    """[<1/|H|^2>]^-1 = K^2 / sum d_k^2, d the impulse response of 1/H_min.
-
-    0 on a spectral null (a root within 1e-9 of the unit circle), and 0
-    when 1/H_min would need more than 2^22 taps: that near-null gain is
-    below the inverse's resolution, indistinguishable from the null."""
-    gain, roots = _reflect_inside(channel)
-    mags = np.abs(roots)
-    if roots.size and np.min(np.abs(mags - 1.0)) <= 1e-9:
-        return 0.0
-    try:
-        d, _ = _inverse(np.real(np.atleast_1d(np.poly(roots))), float(mags.max(initial=0.0)))
-    except BudgetExceeded:
-        return 0.0
-    return gain * gain / float(d @ d)
-
-
 def spectral_summary(channel: ChannelResponse, rho: float) -> SpectralSummary:
     """Equalizer SNRs and gain factors at input SNR rho = P_x/N_0.
 
     snr_dfe  = exp <log(1 + rho |H|^2)>                 (biased MMSE-DFE)
     snr_le   = [<1/(1 + rho |H|^2)>]^-1 = snr_dfe / sum c_k^2   (MMSE-LE)
     g_zf_dfe = exp <log |H|^2>                          (Jensen)
-    g_zf_le  = [<1/|H|^2>]^-1, 0 on a null              (_zf_le_gain)
+    g_zf_le  = [<1/|H|^2>]^-1, 0 on a null              (zf_le_gain)
 
     all in closed form (module docstring). Raises RootFindingFailure when
     G fails its check and BudgetExceeded when 1/G needs over 2^22 taps.
     """
-    if rho <= 0.0:
-        raise DomainError("rho must be positive")
+    if not 0.0 < rho < math.inf:
+        raise DomainError("rho must be finite and positive")
     gaussian_rate, c, _ = _dfe_factor(channel, rho)
     snr_dfe = float(np.exp(gaussian_rate))
-    g_zf_dfe = float(np.exp(log_mean_spectrum(channel)))
+    g_zf_dfe = float(np.exp(channel.log_mean_spectrum))
     return SpectralSummary(
         rho=rho,
         snr_le=snr_dfe / float(c @ c),
         snr_dfe=snr_dfe,
         snr_zf_dfe=rho * g_zf_dfe,
         g_zf_dfe=g_zf_dfe,
-        g_zf_le=_zf_le_gain(channel),
+        g_zf_le=channel.zf_le_gain,
         gaussian_rate=gaussian_rate,
     )

@@ -23,12 +23,7 @@ from pathlib import Path
 
 from . import __version__
 from .bounds import BoundReport, bound_report
-from .channel import (
-    CHANNEL_PRESETS,
-    ChannelResponse,
-    spectral_summary,
-    to_minimum_phase,
-)
+from .channel import CHANNEL_PRESETS, ChannelResponse, spectral_summary
 from .equalizer import design_mmse_dfe
 from .errors import DomainError, IsirateError
 from .highsnr import crossover_probe, exponent_gap
@@ -51,7 +46,7 @@ def _fmt(x) -> str:
 def parse_channel(spec: str, normalize: bool = False) -> ChannelResponse:
     if spec in CHANNEL_PRESETS:
         ch = CHANNEL_PRESETS[spec]()
-        return ch.normalized() if normalize else ch
+        return ch.normalized if normalize else ch
     if spec.lstrip().startswith("["):
         return ChannelResponse.from_json(spec, normalize)
     path = Path(spec)
@@ -67,10 +62,22 @@ def parse_input(spec: str) -> InputDistribution:
     return parse_input_spec(spec)
 
 
+def _finite_db(values: list[float]) -> list[float]:
+    if not all(math.isfinite(v) for v in values):
+        raise DomainError("SNR values must be finite dB")
+    return values
+
+
+def _single_rho(snr_db: float) -> float:
+    """rho = 10^(dB/10) of the single --snr-db value; non-finite is a
+    configuration error, as in parse_snr_grid."""
+    return 10 ** (_finite_db([snr_db])[0] / 10.0)
+
+
 def parse_snr_grid(spec: str) -> list[float]:
-    """'a:b:step' (inclusive), 'a,b,c' or a single value, all in dB."""
+    """'a:b:step' (inclusive), 'a,b,c' or a single value, all finite dB."""
     if ":" in spec:
-        parts = [float(p) for p in spec.split(":")]
+        parts = _finite_db([float(p) for p in spec.split(":")])
         if len(parts) != 3 or parts[2] <= 0:
             raise DomainError("grid must be start:stop:step with step > 0")
         start, stop, step = parts
@@ -78,10 +85,7 @@ def parse_snr_grid(spec: str) -> list[float]:
         if n < 1 or start > stop:
             raise DomainError("empty SNR grid")
         return [start + i * step for i in range(n)]
-    if "," in spec:
-        grid = [float(p) for p in spec.split(",")]
-    else:
-        grid = [float(spec)]
+    grid = _finite_db([float(p) for p in spec.split(",")])
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("SNR grid must be strictly increasing")
     return grid
@@ -115,7 +119,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 def cmd_analyze(args) -> int:
     ch = parse_channel(args.channel, args.normalize)
-    ss = spectral_summary(ch, 10 ** (args.snr_db / 10.0))
+    ss = spectral_summary(ch, _single_rho(args.snr_db))
     out = {
         "taps": list(ch.taps),
         "energy": ch.energy(),
@@ -134,7 +138,7 @@ def cmd_analyze(args) -> int:
 def cmd_dfe(args) -> int:
     ch = parse_channel(args.channel, args.normalize)
     x = parse_input(args.input)
-    design = design_mmse_dfe(ch, x, 10 ** (args.snr_db / 10.0))
+    design = design_mmse_dfe(ch, x, _single_rho(args.snr_db))
     out = {
         "rho": design.rho,
         "n_residual": int(design.residual.size),
@@ -225,9 +229,7 @@ def cmd_bounds(args) -> int:
 def cmd_simulate(args) -> int:
     ch = parse_channel(args.channel, args.normalize)
     x = parse_input(args.input)
-    est = estimate_rate(
-        ch, x, 10 ** (args.snr_db / 10.0), args.n_symbols, args.n_seeds, args.seed
-    )
+    est = estimate_rate(ch, x, _single_rho(args.snr_db), args.n_symbols, args.n_seeds, args.seed)
     out = {
         "value_bits": _bits(est.value),
         "stderr_bits": _bits(est.std_error),
@@ -247,7 +249,7 @@ def cmd_simulate(args) -> int:
 def cmd_dmin(args) -> int:
     ch = parse_channel(args.channel, normalize=True)
     x = parse_input(args.input)
-    # one search, on the minimum-phase form: delta_min^2 depends only on
+    # one search, on ch.normalized.min_phase: delta_min^2 depends only on
     # |H|^2, and exponent_gap raises unless the search is certified
     gap = exponent_gap(ch, x, max_len=args.max_len)
     out = {
@@ -257,7 +259,7 @@ def cmd_dmin(args) -> int:
         "nodes_explored": gap.nodes_explored,
         "g_zf_dfe": gap.g_zf_dfe,
         "strict": gap.strict,
-        "min_phase_taps": list(to_minimum_phase(ch).taps),
+        "min_phase_taps": list(ch.normalized.min_phase.taps),
     }
     print(json.dumps(out, indent=2))
     return 0

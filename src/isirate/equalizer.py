@@ -28,6 +28,7 @@ nowhere else.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -149,8 +150,8 @@ def design_mmse_dfe(
     Raises RootFindingFailure when the spectral factor fails its check and
     BudgetExceeded when 1/G would need more than 2^22 taps.
     """
-    if rho <= 0.0:
-        raise DomainError("rho must be positive")
+    if not 0.0 < rho < math.inf:
+        raise DomainError("rho must be finite and positive")
     px = x.power
     gaussian_rate, c, alpha, _ = _residual_taps(channel, rho)
     snr_m1 = float(np.expm1(gaussian_rate))

@@ -19,17 +19,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfcx, spence
+from scipy.special import erfcx
 
-from .channel import (
-    ChannelResponse,
-    _autocorrelation,
-    _roots,
-    _zf_le_gain,
-    log_mean_spectrum,
-    to_minimum_phase,
-    transfer_power,
-)
+from .channel import ChannelResponse, transfer_power
 from .errors import DomainError, InconclusiveSearch
 from .scalar import InputDistribution, binary_entropy, log_q_integral
 
@@ -69,12 +61,6 @@ def error_alphabet(x: InputDistribution) -> np.ndarray:
     diffs = (atoms[:, None] - atoms[None, :]).ravel() / x.d_min
     vals = np.unique(np.round(diffs, 12))
     return vals
-
-
-def event_distance_sq(channel: ChannelResponse, errors) -> float:
-    """delta^2 of one normalized error sequence: ||e * h||^2."""
-    conv = np.convolve(np.asarray(errors, dtype=float), np.asarray(channel.taps))
-    return float(conv @ conv)
 
 
 def delta_min_sq(
@@ -156,7 +142,7 @@ def exponent_gap(
     Raises InconclusiveSearch unless the search is certified, so every gap
     carries a certified delta_min^2. strict requires a margin above 1e-9.
     """
-    ch = to_minimum_phase(channel.normalized())
+    ch = channel.normalized.min_phase
     search = delta_min_sq(ch, x, max_len=max_len)
     if not search.certified:
         raise InconclusiveSearch("search not certified; raise max_len")
@@ -211,23 +197,6 @@ def _min_distance_pair_prob(x: InputDistribution) -> float:
     return best
 
 
-def log_sq_mean_spectrum(channel: ChannelResponse) -> float:
-    """<log^2 |H(theta)|^2>, exact from the channel roots.
-
-    With the roots reflected into the closed unit disk (u_i), log|H|^2 is
-    A - sum_n 2 Re(sum_i u_i^n e^{-jn theta})/n with A = <log|H|^2>, so
-    its second moment is A^2 + 2 Re sum_{i,k} Li2(u_i conj(u_k)); roots on
-    the unit circle keep every dilogarithm finite.
-    """
-    _, roots = _roots(channel)
-    u = roots.copy()
-    outside = np.abs(u) > 1.0
-    u[outside] = 1.0 / np.conj(u[outside])
-    w = (u[:, None] * np.conj(u)[None, :]).ravel()
-    a = log_mean_spectrum(channel)
-    return float(a * a + 2.0 * np.real(spence(1.0 - w).sum()))
-
-
 def _low_spectrum_fraction(channel: ChannelResponse, t: float) -> float:
     """|{theta : |H(theta)|^2 < t}| / 2 pi, exact up to root round-off.
 
@@ -236,7 +205,7 @@ def _low_spectrum_fraction(channel: ChannelResponse, t: float) -> float:
     crossing of t is the angle of one of its 2(L-1) roots. Between two
     consecutive root angles |H|^2 - t keeps its sign, read at the midpoint.
     """
-    r = _autocorrelation(channel)
+    r = channel.autocorrelation
     coeffs = np.concatenate((r[:0:-1], r))
     coeffs[r.size - 1] -= t
     angles = np.sort(np.angle(np.roots(coeffs)))
@@ -258,13 +227,13 @@ def snr_dfe_upper_bound(channel: ChannelResponse, rho: float) -> float:
         raise DomainError("snr_dfe_upper_bound expects a unit-energy channel")
     if 2.0 * math.sqrt(1.0 / rho) >= 1.0:
         raise DomainError("need 2 sqrt(N_0/P_x) < 1, i.e. rho > 4")
-    # both gains are free of rho: Jensen, and the inverse of min-phase H
-    g = math.exp(log_mean_spectrum(channel))
-    g_le = _zf_le_gain(channel)
+    # both gains are free of rho and cached on the channel
+    g = math.exp(channel.log_mean_spectrum)
+    g_le = channel.zf_le_gain
     if g_le > 0.0:
         return rho * g + g / g_le
     # null-bearing spectrum: Cauchy-Schwarz on the low-|H| set
-    c1 = math.sqrt(log_sq_mean_spectrum(channel))
+    c1 = math.sqrt(channel.log_sq_mean_spectrum)
     threshold = math.sqrt(1.0 / rho)
     omega_frac = _low_spectrum_fraction(channel, threshold)
     return rho * g * (1.0 + threshold) * math.exp(c1 * math.sqrt(omega_frac))
@@ -280,8 +249,7 @@ def log_sl_gap_lower(
     unbiased DFE SNR; the log stays finite far past double-precision
     underflow.
     """
-    ch = channel.normalized()
-    snr_u = snr_dfe_upper_bound(ch, rho) - 1.0
+    snr_u = snr_dfe_upper_bound(channel.normalized, rho) - 1.0
     d_half_sq = (_normalized_d_min(x) / 2.0) ** 2
     return math.log(2.0 * _min_distance_pair_prob(x)) + log_q_integral(
         d_half_sq * snr_u
@@ -312,27 +280,29 @@ def crossover_probe(
 
     A row certifies the rate >= I_SL comparison when the upper bound on
     H - rate falls below the lower bound on H - I_SL. Grid points with
-    rho <= 4 are reported as None (outside the bound's validity). Raises
-    InconclusiveSearch, before any row, when the distance search is not
+    0 < rho <= 4 are reported as None (outside the bound's validity).
+    Raises, before any row, DomainError unless every rho is finite and
+    positive, and InconclusiveSearch when the distance search is not
     certified.
     """
+    rho_grid = [float(rho) for rho in rho_grid]
+    if not all(0.0 < rho < math.inf for rho in rho_grid):
+        raise DomainError("every rho must be finite and positive")
     gap = exponent_gap(channel, x)
     rows = []
     crossing = None
     for rho in rho_grid:
         if 2.0 * math.sqrt(1.0 / rho) >= 1.0:
-            rows.append(
-                CrossoverRow(rho=float(rho), log_upper=None, log_lower=None, certifies=False)
-            )
+            rows.append(CrossoverRow(rho=rho, log_upper=None, log_lower=None, certifies=False))
             continue
         log_upper = log_fano_forney_upper(gap, x, rho, k_prime)
         log_lower = log_sl_gap_lower(channel, x, rho)
         certifies = log_upper < log_lower
         if certifies and crossing is None:
-            crossing = float(rho)
+            crossing = rho
         rows.append(
             CrossoverRow(
-                rho=float(rho), log_upper=log_upper, log_lower=log_lower, certifies=certifies
+                rho=rho, log_upper=log_upper, log_lower=log_lower, certifies=certifies
             )
         )
     return CrossoverTable(rows=tuple(rows), crossing_rho=crossing)

@@ -372,8 +372,8 @@ def estimate_rate(
         raise DomainError("n_symbols must be at least 1e4")
     if n_seeds < 1:
         raise DomainError("n_seeds must be positive")
-    if rho <= 0.0:
-        raise DomainError("rho must be positive")
+    if not 0.0 < rho < math.inf:
+        raise DomainError("rho must be finite and positive")
     trellis = build_trellis(channel, x)
     n0 = x.power / rho
     multiple = _block_multiple(trellis)

@@ -55,6 +55,13 @@ def quadrature_summary(ch: ChannelResponse, rho: float) -> tuple[float, float, f
     return rate, (d / e - 1.0) / (d - 1.0) ** 2, (d - 1.0) ** 2 * e / (d * (e - 1.0))
 
 
+def event_distance_sq(channel: ChannelResponse, errors) -> float:
+    """delta^2 of one normalized error sequence, ||e * h||^2: the
+    brute-force oracle of the error-event search."""
+    conv = np.convolve(np.asarray(errors, dtype=float), np.asarray(channel.taps))
+    return float(conv @ conv)
+
+
 def forward_log_likelihood(y, trellis, n0: float, renorm_every: int = 1) -> float:
     """log p(y_1^n) by the sequential normalized forward recursion: one
     step per symbol, scattering every branch into its successor. The oracle

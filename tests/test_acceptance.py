@@ -21,9 +21,9 @@ from isirate.bounds import (
     slc_gap_series,
     two_tap_gap_leading,
 )
-from isirate.channel import ChannelResponse, channel_b, jeong, jeong_spaced, to_minimum_phase
+from isirate.channel import ChannelResponse, channel_b, jeong, jeong_spaced
 from isirate.equalizer import design_mmse_dfe, two_tap_residual
-from isirate.highsnr import delta_min_sq, error_alphabet, event_distance_sq, exponent_gap
+from isirate.highsnr import delta_min_sq, error_alphabet, exponent_gap
 from isirate.rate_sim import build_trellis, estimate_rate
 from isirate.scalar import (
     bpsk,
@@ -37,6 +37,7 @@ from isirate.scalar import (
 )
 
 from conftest import (
+    event_distance_sq,
     forward_log_likelihood,
     mmse_binary,
     quadrature_summary,
@@ -270,7 +271,7 @@ def test_criterion_09_high_snr_exponents():
     assert not flat.strict and flat.delta_min_sq == flat.g_zf_dfe
     rng = np.random.default_rng(909)
     for _ in range(20):
-        ch = to_minimum_phase(random_unit_channel(rng, max_len=4))
+        ch = random_unit_channel(rng, max_len=4).min_phase
         res = delta_min_sq(ch, x, max_len=6)
         alphabet = error_alphabet(x)
         brute = math.inf

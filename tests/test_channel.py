@@ -1,19 +1,20 @@
 """Channel model and spectral summaries."""
 
 import math
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from isirate.channel import (
     ChannelResponse,
+    _dfe_factor,
     channel_b,
     jeong,
     jeong_spaced,
-    log_mean_spectrum,
     spectral_summary,
-    to_minimum_phase,
     transfer_power,
 )
 from isirate.errors import DomainError
@@ -121,6 +122,11 @@ class TestSpectralSummary:
         with pytest.raises(DomainError):
             spectral_summary(channel_b(), 0.0)
 
+    @pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_rho(self, rho):
+        with pytest.raises(DomainError):
+            spectral_summary(channel_b(), rho)
+
 
 class TestClosedFormsAgainstQuadrature:
     """The spectral factorisation against theta quadrature, an independent route."""
@@ -151,7 +157,7 @@ class TestClosedFormsAgainstQuadrature:
     def test_near_null_gain_is_zero(self, root):
         # 1/H_min would need ~5e8 taps, past the 2^22 budget: the gain is
         # reported as 0, like a null, and the SNRs are unaffected
-        ch = ChannelResponse((1.0, -root)).normalized()
+        ch = ChannelResponse((1.0, -root)).normalized
         ss = spectral_summary(ch, 10.0)
         assert ss.g_zf_le == 0.0
         assert ss.snr_le > 1.0
@@ -165,7 +171,7 @@ class TestChannelResponse:
             ChannelResponse(())
 
     def test_normalized(self):
-        ch = ChannelResponse((3.0, 4.0)).normalized()
+        ch = ChannelResponse((3.0, 4.0)).normalized
         assert ch.energy() == pytest.approx(1.0, abs=1e-15)
 
     def test_presets_energy(self):
@@ -178,12 +184,75 @@ class TestChannelResponse:
         assert ch.energy() == pytest.approx(1.0, abs=1e-15)
 
 
+class TestChannelContext:
+    """SNR-free quantities are cached on the channel and never shared mutably."""
+
+    def test_cached_once(self):
+        ch = jeong()
+        for name in ("roots", "reflected_roots", "autocorrelation", "min_phase", "normalized"):
+            assert getattr(ch, name) is getattr(ch, name), name
+        assert ch.normalized.min_phase is ch.normalized.min_phase
+
+    @pytest.mark.parametrize("name", ["roots", "reflected_roots", "autocorrelation"])
+    def test_cached_arrays_are_read_only(self, name):
+        arr = getattr(jeong_spaced(), name)
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+    def test_dfe_factor_leaves_the_autocorrelation_alone(self):
+        # _dfe_factor adds 1/rho to a copy of r_0: alternating SNRs on one
+        # channel give the results of a fresh channel at each SNR
+        ch = channel_b()
+        r = ch.autocorrelation.copy()
+        first = _dfe_factor(ch, 2.0)
+        _dfe_factor(ch, 300.0)
+        again = _dfe_factor(ch, 2.0)
+        fresh = _dfe_factor(channel_b(), 2.0)
+        for got in (again, fresh):
+            assert got[0] == first[0] and got[2] == first[2]
+            assert np.array_equal(got[1], first[1])
+        assert np.array_equal(ch.autocorrelation, r)
+
+    def test_threads_racing_on_first_access_agree(self):
+        # eight threads, more than the cores, read one fresh channel's
+        # cache with a short switch interval: every reader sees the values
+        # a lone reader computes
+        def read(ch):
+            return (
+                ch.roots.tobytes(),
+                ch.normalized.min_phase.taps,
+                ch.zf_le_gain,
+                ch.log_sq_mean_spectrum,
+                spectral_summary(ch, 100.0),
+            )
+
+        want = read(jeong_spaced())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                ch = jeong_spaced()
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    futures = [pool.submit(read, ch) for _ in range(8)]
+                    got = [f.result(timeout=60) for f in futures]
+                assert all(g == want for g in got)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_equal_channels_stay_equal(self):
+        # the cache is not part of the value: equality and hashing see taps only
+        ch = channel_b()
+        _ = ch.min_phase, ch.zf_le_gain
+        assert ch == channel_b() and hash(ch) == hash(channel_b())
+
+
 class TestMinimumPhase:
     def test_identity(self):
-        assert to_minimum_phase(ChannelResponse((1.0,))).taps == (1.0,)
+        assert ChannelResponse((1.0,)).min_phase.taps == (1.0,)
 
     def test_flips_max_phase_two_tap(self):
-        mp = to_minimum_phase(ChannelResponse((0.6, 0.8)))
+        mp = ChannelResponse((0.6, 0.8)).min_phase
         assert mp.taps[0] == pytest.approx(0.8, abs=1e-12)
         assert mp.taps[1] == pytest.approx(0.6, abs=1e-12)
 
@@ -191,7 +260,7 @@ class TestMinimumPhase:
         theta = np.linspace(-np.pi, np.pi, 4096)
         for _ in range(20):
             ch = random_unit_channel(rng)
-            mp = to_minimum_phase(ch)
+            mp = ch.min_phase
             orig = transfer_power(ch, theta)
             new = transfer_power(mp, theta)
             assert np.max(np.abs(new - orig)) <= 1e-8 * max(1.0, orig.max())
@@ -199,19 +268,19 @@ class TestMinimumPhase:
     def test_first_tap_carries_zf_dfe_gain(self, rng):
         for _ in range(20):
             ch = random_unit_channel(rng)
-            mp = to_minimum_phase(ch)
-            g = math.exp(log_mean_spectrum(ch))
+            mp = ch.min_phase
+            g = math.exp(ch.log_mean_spectrum)
             assert mp.taps[0] ** 2 == pytest.approx(g, rel=1e-8)
 
     def test_channel_b(self):
-        mp = to_minimum_phase(channel_b())
+        mp = channel_b().min_phase
         g = spectral_summary(channel_b(), 1.0).g_zf_dfe
         assert mp.taps[0] ** 2 == pytest.approx(g, rel=1e-10)
 
     def test_preserves_energy(self, rng):
         for _ in range(10):
             ch = random_unit_channel(rng)
-            assert to_minimum_phase(ch).energy() == pytest.approx(
+            assert ch.min_phase.energy() == pytest.approx(
                 ch.energy(), rel=1e-12
             )
 
@@ -222,7 +291,7 @@ class TestMinimumPhase:
         theta = np.linspace(-np.pi, np.pi, 257)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            mp = to_minimum_phase(ch)
+            mp = ch.min_phase
             ss = spectral_summary(ch, 2.0)
         assert np.allclose(transfer_power(mp, theta), transfer_power(ch, theta), atol=1e-12)
         assert ss.g_zf_le == 0.0

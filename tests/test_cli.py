@@ -42,6 +42,9 @@ class TestParsing:
             parse_snr_grid("3,1")
         with pytest.raises(DomainError):
             parse_snr_grid("0:10:-1")
+        for spec in ("nan", "0,inf", "0:inf:1", "-inf:0:1", "0:10:nan"):
+            with pytest.raises(DomainError, match="finite"):
+                parse_snr_grid(spec)
 
 
 class TestSubcommands:
@@ -117,7 +120,7 @@ class TestSubcommands:
         assert i_sl_bits == pytest.approx(nats / LOG2, abs=1e-12)
 
     def test_bounds_deterministic_across_threads(self, tmp_path, monkeypatch):
-        args = [
+        mc = [
             "bounds",
             "--channel",
             "[0.8, 0.6]",
@@ -131,15 +134,20 @@ class TestSubcommands:
             "--seed",
             "7",
         ]
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        c = tmp_path / "c.csv"
-        assert main(args + ["--out", str(a)]) == 0
-        assert main(args + ["--out", str(b)]) == 0
-        monkeypatch.setenv("ISIRATE_THREADS", "4")
-        assert main(args + ["--out", str(c)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-        assert a.read_bytes() == c.read_bytes()
+        # 18 points on one fresh channel: with 4 threads they race on the
+        # first access to its cached SNR-free quantities
+        sweep = ["bounds", "--channel", "jeong", "--input", "bpsk", "--snr-db=-40:45:5", "--i-mmse", "none"]
+        for i, args in enumerate((mc, sweep)):
+            a = tmp_path / f"a{i}.csv"
+            b = tmp_path / f"b{i}.csv"
+            c = tmp_path / f"c{i}.csv"
+            monkeypatch.delenv("ISIRATE_THREADS", raising=False)
+            assert main(args + ["--out", str(a)]) == 0
+            assert main(args + ["--out", str(b)]) == 0
+            monkeypatch.setenv("ISIRATE_THREADS", "4")
+            assert main(args + ["--out", str(c)]) == 0
+            assert a.read_bytes() == b.read_bytes()
+            assert a.read_bytes() == c.read_bytes()
 
     def test_bounds_stdout_negative_grid(self, capsys):
         code = main(
@@ -276,3 +284,21 @@ class TestSubcommands:
 
     def test_exit_code_config_error(self, capsys):
         assert main(["analyze", "--channel", "[0, 0]", "--snr-db", "0"]) == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["analyze", "--channel", "channel_b"],
+            ["dfe", "--channel", "channel_b", "--input", "bpsk"],
+            ["bounds", "--channel", "channel_b", "--input", "bpsk", "--i-mmse", "none"],
+            ["simulate", "--channel", "channel_b", "--input", "bpsk", "--n-symbols", "10000"],
+            ["highsnr-probe", "--channel", "channel_b", "--input", "bpsk"],
+        ],
+        ids=lambda c: c[0],
+    )
+    def test_non_finite_snr_exits_2(self, command, value, capsys):
+        assert main(command + [f"--snr-db={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite" in captured.err

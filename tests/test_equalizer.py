@@ -201,6 +201,11 @@ class TestDesignValidation:
         with pytest.raises(DomainError):
             design_mmse_dfe(channel_b(), bpsk(), 0.0)
 
+    @pytest.mark.parametrize("rho", [math.nan, math.inf])
+    def test_rejects_non_finite_rho(self, rho):
+        with pytest.raises(DomainError):
+            design_mmse_dfe(channel_b(), bpsk(), rho)
+
     def test_two_tap_closed_form_validation(self):
         with pytest.raises(DomainError):
             two_tap_residual(1.5, 1.0, 5)

@@ -14,7 +14,6 @@ from isirate.channel import (
     jeong,
     jeong_spaced,
     spectral_summary,
-    to_minimum_phase,
     transfer_power,
 )
 from isirate import highsnr
@@ -24,16 +23,14 @@ from isirate.highsnr import (
     crossover_probe,
     delta_min_sq,
     error_alphabet,
-    event_distance_sq,
     exponent_gap,
     log_fano_forney_upper,
-    log_sq_mean_spectrum,
     log_sl_gap_lower,
     snr_dfe_upper_bound,
 )
 from isirate.scalar import bpsk, log_q_integral, make_skewed_binary, make_trinary, mutual_info
 
-from conftest import mean_over_theta, random_unit_channel
+from conftest import event_distance_sq, mean_over_theta, random_unit_channel
 
 
 def two_tap_channel(q):
@@ -62,7 +59,7 @@ class TestDeltaMinSearch:
             delta_min_sq(channel_b(), bpsk())
 
     def test_channel_b_matches_brute_force(self):
-        ch = to_minimum_phase(channel_b().normalized())
+        ch = channel_b().normalized.min_phase
         res = delta_min_sq(ch, bpsk())
         assert res.certified
         assert res.delta_min_sq == pytest.approx(
@@ -71,7 +68,7 @@ class TestDeltaMinSearch:
 
     def test_random_channels_match_brute_force(self, rng):
         for _ in range(20):
-            ch = to_minimum_phase(random_unit_channel(rng, max_len=4))
+            ch = random_unit_channel(rng, max_len=4).min_phase
             res = delta_min_sq(ch, bpsk())
             brute = brute_force_delta_min(ch, bpsk())
             assert res.certified
@@ -83,7 +80,7 @@ class TestDeltaMinSearch:
 
     def test_witness_reproduces_distance(self, rng):
         for _ in range(10):
-            ch = to_minimum_phase(random_unit_channel(rng, max_len=4))
+            ch = random_unit_channel(rng, max_len=4).min_phase
             res = delta_min_sq(ch, make_trinary(0.2))
             assert res.witness[0] != 0.0 and res.witness[-1] != 0.0
             assert event_distance_sq(ch, res.witness) == pytest.approx(
@@ -92,7 +89,7 @@ class TestDeltaMinSearch:
 
     def test_first_last_tap_floor(self, rng):
         for _ in range(10):
-            ch = to_minimum_phase(random_unit_channel(rng, max_len=5))
+            ch = random_unit_channel(rng, max_len=5).min_phase
             if ch.length < 2:
                 continue
             res = delta_min_sq(ch, bpsk())
@@ -184,23 +181,23 @@ class TestLogSqMeanSpectrum:
         # <log^2(1 + cos theta)> = pi^2/3 + log^2 2
         ch = ChannelResponse((math.sqrt(0.5), math.sqrt(0.5)))
         want = math.pi**2 / 3.0 + math.log(2.0) ** 2
-        assert log_sq_mean_spectrum(ch) == pytest.approx(want, abs=1e-12)
+        assert ch.log_sq_mean_spectrum == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("ch", [channel_b(), jeong_spaced()], ids=["channel_b", "jeong_spaced"])
     def test_matches_quadrature(self, ch):
         # no root on the unit circle, so the midpoint rule converges
         quad = mean_over_theta(lambda th: np.log(transfer_power(ch, th)) ** 2, rel_tol=1e-13)
-        assert log_sq_mean_spectrum(ch) == pytest.approx(quad, rel=1e-9)
+        assert ch.log_sq_mean_spectrum == pytest.approx(quad, rel=1e-9)
 
     def test_flat(self):
-        assert log_sq_mean_spectrum(ChannelResponse((2.0,))) == pytest.approx(math.log(4.0) ** 2, rel=1e-15)
+        assert ChannelResponse((2.0,)).log_sq_mean_spectrum == pytest.approx(math.log(4.0) ** 2, rel=1e-15)
 
 
 # conv([1, 1], taps) puts a null at theta = pi; taps are multiples of 1e-3
 null_channels = (
     st.lists(st.floats(-1.0, 1.0).map(lambda v: round(v, 3)), min_size=1, max_size=3)
     .filter(lambda t: sum(v * v for v in t) > 1e-2)
-    .map(lambda t: ChannelResponse(tuple(np.convolve([1.0, 1.0], t))).normalized())
+    .map(lambda t: ChannelResponse(tuple(np.convolve([1.0, 1.0], t))).normalized)
 )
 null_snr_db = st.floats(7.0, 60.0)
 
@@ -265,16 +262,35 @@ class TestCrossoverProbe:
         assert table.rows[1].log_upper is not None
 
     def test_one_search_per_probe(self, monkeypatch):
-        calls = {"to_minimum_phase": 0, "delta_min_sq": 0}
-        for name in calls:
+        # one search, on the channel's cached unit-energy minimum-phase form
+        searched = []
+        real = highsnr.delta_min_sq
+        monkeypatch.setattr(
+            highsnr, "delta_min_sq", lambda ch, *a, **k: searched.append(ch) or real(ch, *a, **k)
+        )
+        ch = channel_b()
+        crossover_probe(ch, bpsk(), [2.0, 10.0, 100.0, 1000.0])
+        assert len(searched) == 1
+        assert searched[0] is ch.normalized.min_phase
 
-            def counted(*args, _real=getattr(highsnr, name), _name=name, **kwargs):
-                calls[_name] += 1
-                return _real(*args, **kwargs)
+    @pytest.mark.parametrize("n_snrs", [1, 4, 40])
+    def test_channel_roots_found_once(self, n_snrs, monkeypatch):
+        # the SNR-free quantities come from one np.roots of the channel; the
+        # null-bearing channel adds one crossing polynomial per SNR above 4
+        calls = []
+        real = np.roots
+        monkeypatch.setattr(np, "roots", lambda p: calls.append(p) or real(p))
+        grid = np.geomspace(2.0, 1e5, n_snrs)
+        crossover_probe(channel_b(), bpsk(), grid)
+        assert len(calls) == 1
+        calls.clear()
+        crossover_probe(two_tap_channel(math.sqrt(0.5)), bpsk(), grid)
+        assert len(calls) == 1 + np.count_nonzero(grid > 4.0)
 
-            monkeypatch.setattr(highsnr, name, counted)
-        crossover_probe(channel_b(), bpsk(), [2.0, 10.0, 100.0, 1000.0])
-        assert calls == {"to_minimum_phase": 1, "delta_min_sq": 1}
+    @pytest.mark.parametrize("rho", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_non_finite_or_nonpositive_rho(self, rho):
+        with pytest.raises(DomainError):
+            crossover_probe(channel_b(), bpsk(), [10.0, rho])
 
     def test_uncertified_search_raises_before_rows(self, monkeypatch):
         # a node guard this small leaves channel_b's search uncertified

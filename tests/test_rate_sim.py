@@ -308,6 +308,11 @@ class TestEstimateRate:
         with pytest.raises(DomainError):
             estimate_rate(channel_b(), bpsk(), -1.0, 20_000, 2, seed=0)
 
+    @pytest.mark.parametrize("rho", [math.nan, math.inf])
+    def test_rejects_non_finite_rho(self, rho):
+        with pytest.raises(DomainError):
+            estimate_rate(channel_b(), bpsk(), rho, 20_000, 2, seed=0)
+
 
 class TestTrellisStructure:
     def test_shapes_and_transitions(self):
