@@ -22,8 +22,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 from scipy.special import gammaln, logsumexp
 
 from .channel import ChannelResponse
@@ -254,40 +252,72 @@ def _invert(phi: np.ndarray, omega: np.ndarray, start: float, dy: float, n: int)
     return np.fft.irfft(np.conj(phi) * np.exp(1j * omega * start), n) / dy
 
 
+# Denominators prod_{m != k} (k - m) of the Lagrange weights on the nodes
+# -2..3 of _quintic_interp
+_LAGRANGE6_DENOM = (-120.0, 24.0, -12.0, 12.0, -24.0, 120.0)
+
+
+def _quintic_interp(values: np.ndarray, lo: float, dy: float, ys: np.ndarray) -> np.ndarray:
+    """The 6-point (quintic) Lagrange interpolant of values on the grid
+    lo + k dy at ys.
+
+    With i = floor((y - lo)/dy) clipped to [2, n-4] and t = (y - lo)/dy - i,
+    it is the quintic in t through values[i-2..i+3] at t = -2..3, so it
+    reproduces any polynomial of degree up to 5 to round-off. Its error is
+    O(dy^6), ~1e-11 in log p on the sigma/32 grids of _fft_grid; a 4-point
+    cubic's O(dy^4) error there is ~1e-9, about 10x a cubic spline's.
+    """
+    n = values.size
+    u = (ys - lo) / dy
+    i = np.clip(np.floor(u), 2, n - 4)
+    t = u - i
+    j = i.astype(np.intp) - 2
+    # weight k is prod_{m != k} (t - m + 2) / denom_k: prefix times suffix
+    d = [t - (m - 2.0) for m in range(6)]
+    left, right = [1.0], [1.0]
+    for m in range(5):
+        left.append(left[-1] * d[m])
+        right.append(right[-1] * d[5 - m])
+    return sum(
+        left[k] * right[5 - k] * (values[k : n - 5 + k][j] / _LAGRANGE6_DENOM[k])
+        for k in range(6)
+    )
+
+
 class _LogDensityTable:
-    """log p(y) on a cubic spline over an FFT grid (lo, dy, n), from the
-    density's characteristic function Phi at the grid's frequencies.
+    """log p(y) on an FFT grid (lo, dy, n), from the density's characteristic
+    function Phi at the grid's frequencies, read by 6-point Lagrange
+    interpolation (_quintic_interp).
 
     Grid step sigma/32 and padding 16 sigma put aliasing and truncation
-    errors far below double precision. ``audit_err`` compares the spline
-    with p inverted exactly at the midpoints between every n//512-th pair
-    of grid points (``audit_y``, ``audit_logp``), over the region holding
-    all but ~1e-12 of the sampling mass. Its ~1e-6 is the round-off of
-    that inversion where p is ~1e-10 of its peak; further out the table
-    is FFT round-off, and samples land there with ~zero mass.
+    errors far below double precision. ``audit_err`` compares the
+    interpolant with p inverted exactly at the midpoints between every
+    n//512-th pair of grid points (``audit_y``, ``audit_logp``), over the
+    region holding all but ~1e-12 of the sampling mass. Its ~1e-6 is the
+    round-off of that inversion where p is ~1e-10 of its peak; further out
+    the table is FFT round-off, and samples land there with ~zero mass.
     """
 
     def __init__(self, lo: float, dy: float, n: int, phi: np.ndarray):
-        self.lo, self.hi = lo, lo + n * dy
+        self.lo, self.dy, self.hi = lo, dy, lo + n * dy
         omega = _frequencies(n, dy)
-        y = lo + dy * np.arange(n)
         p = _invert(phi, omega, lo, dy, n)
         floor = p.max() * 1e-280
-        self._logp = CubicSpline(y, np.log(np.maximum(p, floor)))
+        self._logp = np.log(np.maximum(p, floor))
         # the midpoints lie on the grid shifted by dy/2: one more inversion
         stride = max(1, n // 512)
-        self.audit_y = y[:-1:stride] + 0.5 * dy
+        self.audit_y = lo + dy * np.arange(n)[:-1:stride] + 0.5 * dy
         direct = _invert(phi, omega, lo + 0.5 * dy, dy, n)[:-1:stride]
         self.audit_logp = np.log(np.maximum(direct, 1e-300))
         mask = self.audit_logp >= self.audit_logp.max() - 23.0
         self.audit_err = float(
-            np.max(np.abs(self._logp(self.audit_y[mask]) - self.audit_logp[mask]))
+            np.max(np.abs(self(self.audit_y[mask]) - self.audit_logp[mask]))
         )
 
     def __call__(self, ys: np.ndarray) -> np.ndarray:
         if ys.min() < self.lo or ys.max() > self.hi:
             raise ValueError("sample outside density table support")
-        return self._logp(ys)
+        return _quintic_interp(self._logp, self.lo, self.dy, ys)
 
 
 def _density_tables(taps1, atoms, probs, sigma: float):
@@ -519,6 +549,62 @@ def ie_conj(design: DfeDesign, x: InputDistribution) -> float:
     return mutual_info(x, design.eps0) - mutual_info(x, design.eps1)
 
 
+def _brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """A root of f in [a, b] by Brent's method, step for step SciPy's C
+    brentq: the same iterates, the tolerance (xtol + rtol |x|)/2 and the
+    iteration cap.
+
+    Raises ValueError when f(a) and f(b) have the same sign or f returns
+    NaN, and NonConvergent after maxiter iterations.
+    """
+    if xtol <= 0.0:
+        raise ValueError("xtol must be positive")
+
+    def call(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"f({x}) is NaN")
+        return fx
+
+    xpre, xcur = a, b
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise NonConvergent(f"brentq did not converge in {maxiter} iterations (last {xcur})")
+
+
 def ie_opt(design: DfeDesign, x: InputDistribution) -> tuple[float, float, float]:
     """Optimized two-parameter bound; returns (value, gamma1*, gamma2*).
 
@@ -541,7 +627,7 @@ def ie_opt(design: DfeDesign, x: InputDistribution) -> tuple[float, float, float
         return best
     # roots to 1e-10 relative; the absolute floor is that of the lowest root
     lo = 1e-12 * s
-    root = lambda f, hi: brentq(f, lo, hi, xtol=1e-10 * lo, rtol=1e-10)
+    root = lambda f, hi: _brentq(f, lo, hi, xtol=1e-10 * lo, rtol=1e-10)
     f1 = lambda g: b0 * mm(b0 * g) - mm(g)
     try:
         if mm(s) >= b1 / (1.0 + b1 * s):
@@ -552,7 +638,7 @@ def ie_opt(design: DfeDesign, x: InputDistribution) -> tuple[float, float, float
         # times in quadrature noise above its first root
         g1 = g2 if f1(g2) >= 0.0 else root(f1, g2)
         value = ie_bound(design, x, g1, g2)
-    except ValueError:  # brentq: no sign change over the bracket
+    except ValueError:  # no sign change over the bracket, or a NaN
         warnings.warn("ie_opt bracket failed; falling back to grid search")
         grid = np.concatenate(([0.0], np.geomspace(1e-10 * s, s, 511)))
         term1 = np.array([mutual_info(x, b0 * g) - mutual_info(x, g) for g in grid])

@@ -68,10 +68,17 @@ def _finite_db(values: list[float]) -> list[float]:
     return values
 
 
-def _single_rho(snr_db: float) -> float:
-    """rho = 10^(dB/10) of the single --snr-db value; non-finite is a
-    configuration error, as in parse_snr_grid."""
-    return 10 ** (_finite_db([snr_db])[0] / 10.0)
+def _rho(snr_db: float) -> float:
+    """rho = 10^(dB/10); a dB value whose rho is not finite and positive
+    (non-finite, above about 3083 dB or below about -3233 dB) is a
+    configuration error."""
+    try:
+        rho = 10 ** (snr_db / 10.0)
+    except OverflowError:
+        rho = math.inf
+    if not (math.isfinite(rho) and rho > 0.0):
+        raise DomainError(f"SNR {snr_db} dB gives rho = {rho}, not finite and positive")
+    return rho
 
 
 def parse_snr_grid(spec: str) -> list[float]:
@@ -119,7 +126,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 def cmd_analyze(args) -> int:
     ch = parse_channel(args.channel, args.normalize)
-    ss = spectral_summary(ch, _single_rho(args.snr_db))
+    ss = spectral_summary(ch, _rho(args.snr_db))
     out = {
         "taps": list(ch.taps),
         "energy": ch.energy(),
@@ -138,7 +145,7 @@ def cmd_analyze(args) -> int:
 def cmd_dfe(args) -> int:
     ch = parse_channel(args.channel, args.normalize)
     x = parse_input(args.input)
-    design = design_mmse_dfe(ch, x, _single_rho(args.snr_db))
+    design = design_mmse_dfe(ch, x, _rho(args.snr_db))
     out = {
         "rho": design.rho,
         "n_residual": int(design.residual.size),
@@ -205,20 +212,21 @@ def cmd_bounds(args) -> int:
     ch = parse_channel(args.channel, args.normalize)
     x = parse_input(args.input)
     grid = parse_snr_grid(args.snr_db)
+    rhos = [_rho(db) for db in grid]  # every point checked before the sweep
 
-    def point(snr_db: float) -> list:
+    def point(i: int) -> list:
         rep = bound_report(
             ch,
             x,
-            10 ** (snr_db / 10.0),
+            rhos[i],
             i_mmse_method=args.i_mmse,
             n_samples=args.n_samples,
             seed=args.seed,
             include_gap_series=args.gap_series,
         )
-        return _bound_row(snr_db, rep)
+        return _bound_row(grid[i], rep)
 
-    rows = _pool_map(point, grid)
+    rows = _pool_map(point, range(len(grid)))
     if args.out:
         _write_csv(Path(args.out), _BOUND_COLUMNS, rows)
     else:
@@ -229,7 +237,7 @@ def cmd_bounds(args) -> int:
 def cmd_simulate(args) -> int:
     ch = parse_channel(args.channel, args.normalize)
     x = parse_input(args.input)
-    est = estimate_rate(ch, x, _single_rho(args.snr_db), args.n_symbols, args.n_seeds, args.seed)
+    est = estimate_rate(ch, x, _rho(args.snr_db), args.n_symbols, args.n_seeds, args.seed)
     out = {
         "value_bits": _bits(est.value),
         "stderr_bits": _bits(est.std_error),
@@ -247,7 +255,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_dmin(args) -> int:
-    ch = parse_channel(args.channel, normalize=True)
+    ch = parse_channel(args.channel)
     x = parse_input(args.input)
     # one search, on ch.normalized.min_phase: delta_min^2 depends only on
     # |H|^2, and exponent_gap raises unless the search is certified
@@ -266,9 +274,9 @@ def cmd_dmin(args) -> int:
 
 
 def cmd_highsnr_probe(args) -> int:
-    ch = parse_channel(args.channel, normalize=True)
+    ch = parse_channel(args.channel)
     x = parse_input(args.input)
-    grid = [10 ** (db / 10.0) for db in parse_snr_grid(args.snr_db)]
+    grid = [_rho(db) for db in parse_snr_grid(args.snr_db)]
     table = crossover_probe(ch, x, grid, k_prime=args.k_prime)
     out = {
         "k_prime": args.k_prime,
@@ -296,7 +304,7 @@ def _figure_gap(channel_spec, input_spec, snr_grid_db, out_dir, name, seed):
     x = parse_input(input_spec)
 
     def point(snr_db):
-        rho = 10 ** (snr_db / 10.0)
+        rho = _rho(snr_db)
         design = design_mmse_dfe(ch, x, rho)
         rep = bound_report(
             ch, x, rho, i_mmse_method="exact", include_gap_series=True,
@@ -314,7 +322,7 @@ def _figure_rate(channel_spec, input_spec, snr_grid_db, out_dir, name, seed, n_s
     x = parse_input(input_spec)
 
     def point(snr_db):
-        rho = 10 ** (snr_db / 10.0)
+        rho = _rho(snr_db)
         rep = bound_report(
             ch, x, rho, i_mmse_method=i_mmse_method, n_samples=n_samples, seed=seed
         )
@@ -350,7 +358,7 @@ def _figure_bounds(channel_spec, input_spec, snr_grid_db, out_dir, name, seed, n
 
     def point(snr_db):
         rep = bound_report(
-            ch, x, 10 ** (snr_db / 10.0), i_mmse_method="mc", n_samples=n_samples, seed=seed
+            ch, x, _rho(snr_db), i_mmse_method="mc", n_samples=n_samples, seed=seed
         )
         return [
             snr_db,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from isirate.bounds import (
+    _brentq,
     _char_fn,
     _density_tables,
     _enumerate_mixture,
@@ -14,6 +15,7 @@ from isirate.bounds import (
     _frequencies,
     _log_min_patterns,
     _LogDensityTable,
+    _quintic_interp,
     _thresholds,
     bound_report,
     genie_equal_sigma,
@@ -35,7 +37,7 @@ import isirate.bounds
 import isirate.channel
 from isirate.channel import ChannelResponse, channel_b, jeong, jeong_spaced, spectral_summary
 from isirate.equalizer import design_mmse_dfe
-from isirate.errors import BudgetExceeded, DomainError
+from isirate.errors import BudgetExceeded, DomainError, NonConvergent
 from isirate.montecarlo import _sample_indices, stream_rng
 from isirate.scalar import (
     InputDistribution,
@@ -389,13 +391,35 @@ class TestDensityTable:
         ys = lo + dy * np.arange(n)
         ref = own(ys)
         shared = table1(ys)
-        # where p > e^-10 of its peak the tables differ by spline error only;
+        # where p > e^-10 of its peak the tables differ by interpolation error only;
         # deeper in the tails both are FFT round-off, ~1e-15 of the peak
         core = ref >= ref.max() - 10.0
         assert np.max(np.abs(shared[core] - ref[core])) <= 1e-8
         mask = ref >= ref.max() - 23.0
         peak = math.exp(ref.max())
         assert np.max(np.abs(np.exp(shared[mask]) - np.exp(ref[mask]))) <= 1e-9 * peak
+
+    @pytest.mark.parametrize("ch,x,snr_db", _TABLE_CASES)
+    def test_matches_a_cubic_spline_table(self, ch, x, snr_db):
+        from scipy.interpolate import CubicSpline
+
+        taps1, atoms, probs, sigma = _table_inputs(ch, x, snr_db)
+        lo, dy, n = _fft_grid(np.concatenate(([1.0], taps1)), atoms, sigma)
+        for table in _density_tables(taps1, atoms, probs, sigma):
+            spline = CubicSpline(lo + dy * np.arange(n), table._logp)
+            mask = table.audit_logp >= table.audit_logp.max() - 23.0
+            ys = table.audit_y[mask]
+            assert np.max(np.abs(table(ys) - spline(ys))) <= 1e-5
+
+    @pytest.mark.parametrize("coeffs", [(-2.0, 0.7, -1.5, 0.2), (1.0, 0.0, -0.5, 0.3, -0.1, 0.02)])
+    def test_reproduces_a_polynomial(self, coeffs, rng):
+        # a cubic, and a quintic: the highest degree six points determine
+        lo, dy, n = -3.0, 0.01, 600
+        poly = np.polynomial.Polynomial(coeffs)
+        ys = rng.uniform(lo, lo + n * dy, 1000)
+        ys[:3] = lo, lo + n * dy, lo + 7 * dy  # both ends of the support, a node
+        got = _quintic_interp(poly(lo + dy * np.arange(n)), lo, dy, ys)
+        assert np.max(np.abs(got - poly(ys))) <= 1e-12 * np.max(np.abs(poly(ys)))
 
 
 class TestSampleIndices:
@@ -678,6 +702,52 @@ class TestIeBounds:
             rel.append((gauss - ie_simple(d, bpsk())) / rho)
         assert abs(rel[1]) < abs(rel[0])
         assert abs(rel[1]) < 1e-3
+
+
+_BRENT_CHANNELS = [channel_b(), jeong(), jeong_spaced()]
+_BRENT_INPUTS = [bpsk(), make_skewed_binary(0.002), make_trinary(0.01)]
+
+
+class TestBrentq:
+    @staticmethod
+    def _outcome(solver, f, lo, hi):
+        try:
+            return solver(f, lo, hi, xtol=1e-10 * lo, rtol=1e-10)
+        except ValueError:
+            return "ValueError"
+
+    @pytest.mark.parametrize("ch", _BRENT_CHANNELS, ids=["channel_b", "jeong", "jeong_spaced"])
+    def test_matches_scipy_on_ie_opt_roots(self, ch):
+        from scipy.optimize import brentq
+
+        # ie_opt's two root functions over -40..45 dB: the same root, bit
+        # for bit, or the same refusal of the bracket
+        outcomes = []
+        for x in _BRENT_INPUTS:
+            for db in range(-40, 46, 5):
+                d = design_mmse_dfe(ch, x, 10 ** (db / 10))
+                s, b0, b1 = d.S, d.beta0_sq, d.beta1_sq
+                f2 = lambda g: mmse(x, g) - b1 / (1.0 + b1 * g)
+                f1 = lambda g: b0 * mmse(x, b0 * g) - mmse(x, g)
+                for f in (f2, f1):
+                    ours = self._outcome(_brentq, f, 1e-12 * s, s)
+                    assert ours == self._outcome(brentq, f, 1e-12 * s, s)
+                    outcomes.append(ours)
+        assert any(o == "ValueError" for o in outcomes)
+        assert any(type(o) is float for o in outcomes)
+
+    def test_same_sign_bracket_raises(self):
+        with pytest.raises(ValueError, match="signs"):
+            _brentq(lambda g: g * g + 1.0, -1.0, 2.0, xtol=1e-12, rtol=1e-10)
+
+    def test_nan_raises(self):
+        with pytest.raises(ValueError, match="NaN"):
+            # finite at both ends, NaN at the first secant step
+            _brentq(lambda g: math.nan if 0.4 < g < 0.9 else g - 0.7, 0.0, 1.0, xtol=1e-12, rtol=1e-10)
+
+    def test_iteration_cap_raises(self):
+        with pytest.raises(NonConvergent):
+            _brentq(lambda g: g**3 - 0.3, 0.0, 1.0, xtol=1e-15, rtol=1e-15, maxiter=2)
 
 
 class TestBoundReport:

@@ -7,8 +7,10 @@ import pytest
 
 import isirate.cli
 import isirate.highsnr
+from isirate.channel import ChannelResponse
 from isirate.cli import main, parse_channel, parse_snr_grid
 from isirate.errors import DomainError
+from isirate.highsnr import exponent_gap
 from isirate.montecarlo import RateEstimate
 from isirate.scalar import mutual_info, parse_input_spec
 from isirate.channel import spectral_summary
@@ -230,6 +232,16 @@ class TestSubcommands:
         ch = parse_channel("[0.3, 1.0]", normalize=True)
         assert out["delta_min_sq"] == pytest.approx(real(ch, parse_input_spec("bpsk")).delta_min_sq, rel=1e-12)
 
+    def test_dmin_matches_library_on_raw_taps(self, capsys):
+        # the CLI passes the channel as parsed; normalising [0.3, 1.0] twice
+        # would move delta_min_sq from 0.9999999999999998 to 1.0
+        assert main(["dmin", "--channel", "[0.3, 1.0]", "--input", "bpsk"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        gap = exponent_gap(ChannelResponse((0.3, 1.0)), parse_input_spec("bpsk"))
+        assert out["delta_min_sq"] == gap.delta_min_sq
+        assert out["g_zf_dfe"] == gap.g_zf_dfe
+        assert out["witness"] == list(gap.witness)
+
     def test_highsnr_probe(self, capsys):
         code = main(
             [
@@ -285,7 +297,8 @@ class TestSubcommands:
     def test_exit_code_config_error(self, capsys):
         assert main(["analyze", "--channel", "[0, 0]", "--snr-db", "0"]) == 2
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    # 4000 dB overflows rho = 10^(dB/10) and -4000 dB underflows it to 0
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "4000", "-4000"])
     @pytest.mark.parametrize(
         "command",
         [
@@ -302,3 +315,4 @@ class TestSubcommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "finite" in captured.err
+
