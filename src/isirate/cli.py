@@ -445,9 +445,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, with_input=True):
+    def add_common(sp, with_input=True, with_normalize=True):
         sp.add_argument("--channel", required=True, help="preset name, JSON taps or file")
-        sp.add_argument("--normalize", action="store_true", help="rescale taps to unit energy")
+        if with_normalize:
+            sp.add_argument("--normalize", action="store_true", help="rescale taps to unit energy")
         if with_input:
             sp.add_argument(
                 "--input",
@@ -490,13 +491,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--per-seed", default=None, help="write per-stream rates CSV here")
     sp.set_defaults(func=cmd_simulate)
 
+    # dmin and highsnr-probe read the channel's normalized form whatever
+    # its scale, so they take no --normalize
     sp = sub.add_parser("dmin", help="minimum-distance error-event search")
-    add_common(sp)
+    add_common(sp, with_normalize=False)
     sp.add_argument("--max-len", type=int, default=None)
     sp.set_defaults(func=cmd_dmin)
 
     sp = sub.add_parser("highsnr-probe", help="high-SNR exponent comparison")
-    add_common(sp)
+    add_common(sp, with_normalize=False)
     sp.add_argument("--snr-db", required=True, help=_SNR_GRID_HELP)
     sp.add_argument(
         "--k-prime",

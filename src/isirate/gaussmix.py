@@ -18,6 +18,16 @@ and the conditional second moment differ only in their integrands,
 -p log p and num^2/p. Components further than ``_WINDOW_SIGMAS`` standard
 deviations from an evaluation block are skipped; their contribution is
 below 1e-40 of the local density.
+
+The Gaussian kernel is evaluated in (nodes x components) tiles of at most
+``_EVAL_BUDGET`` elements, filled in place in one pair of work buffers
+that each integral allocates once and reuses across its levels. A mixture
+integral therefore holds O(tile + nodes + components) memory, never a
+kernel matrix over a whole node block. Where the components within reach
+of a node block fit one tile (every input alphabet of I_x and mmse_x), the
+sums are those of one kernel matrix bit for bit; where they span several
+tiles, the split changes the order of summation and values differ from a
+one-matrix sum in the last digits (about 1e-15 relative).
 """
 
 from __future__ import annotations
@@ -29,7 +39,10 @@ from .errors import NonConvergent
 _WINDOW_SIGMAS = 14.0
 _TAIL_SIGMAS = 10.0
 _NODE_BLOCK = 512
-_EVAL_BUDGET = 2**23  # elements per kernel matrix (64 MB of float64)
+# Elements per kernel tile (512 KB of float64), so that both work buffers
+# stay in a 2 MB per-core L2 cache. On a 2-vCPU Xeon the low-SNR mixtures
+# ran as fast with 2^15 and 2^16, 1.2x slower with 2^17, 1.5x with 2^18.
+_EVAL_BUDGET = 2**16
 
 # Mixture integrals: trapezoid steps sigma/2, sigma/4, ..., sigma/1024,
 # agreement to 1e-12 relative or to the absolute floor of each integrand.
@@ -41,38 +54,58 @@ _MOMENT_ABS_TOL = 1e-14
 _ATOM_TOL = 1e-12
 
 
-def _mixture_eval(
-    nodes: np.ndarray,
+def _mixture_evaluator(
     means_sorted: np.ndarray,
     weights_sorted: np.ndarray,
     sigma: float,
     value_coeff: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Evaluate p(y) (and optionally sum_j v_j w_j N(y; c_j, s^2)) at nodes.
+):
+    """The kernel of every mixture integral: returns ``evaluate(nodes)``,
+    which gives ``(p, num)`` at ascending nodes, p(y) = sum_j w_j N(y; c_j,
+    s^2) and num(y) = sum_j v_j w_j N(y; c_j, s^2) (None without
+    ``value_coeff``).
 
-    ``nodes`` must be ascending. Means must be sorted ascending, with
-    ``value_coeff`` aligned to them when given.
+    Means must be sorted ascending, with ``value_coeff`` aligned to them
+    when given. The coefficients and one pair of work buffers, of at most
+    _EVAL_BUDGET elements each, are made here once; ``evaluate`` fills each
+    (nodes x components) tile of the kernel in place, so it allocates only
+    its result and one vector of sums per tile and coefficient.
     """
-    p = np.zeros_like(nodes)
-    num = np.zeros_like(nodes) if value_coeff is not None else None
-    window = _WINDOW_SIGMAS * sigma
     norm = 1.0 / (sigma * np.sqrt(2.0 * np.pi))
-    inv2s2 = 1.0 / (2.0 * sigma * sigma)
-    for start in range(0, nodes.size, _NODE_BLOCK):
-        blk = nodes[start : start + _NODE_BLOCK]
-        sl = slice(start, start + blk.size)
-        j0 = np.searchsorted(means_sorted, blk[0] - window)
-        j1 = np.searchsorted(means_sorted, blk[-1] + window)
-        # sub-chunk the component window to bound the kernel matrix size
-        comp_chunk = max(1, _EVAL_BUDGET // blk.size)
-        for c0 in range(j0, j1, comp_chunk):
-            c1 = min(c0 + comp_chunk, j1)
-            d = blk[:, None] - means_sorted[None, c0:c1]
-            kern = np.exp(-inv2s2 * d * d)
-            p[sl] += norm * (kern @ weights_sorted[c0:c1])
-            if num is not None:
-                num[sl] += norm * (kern @ (value_coeff[c0:c1] * weights_sorted[c0:c1]))
-    return p, num
+    neg_inv2s2 = -1.0 / (2.0 * sigma * sigma)
+    window = _WINDOW_SIGMAS * sigma
+    coef = [weights_sorted]
+    if value_coeff is not None:
+        coef.append(value_coeff * weights_sorted)
+    budget = _EVAL_BUDGET
+    rows = min(_NODE_BLOCK, budget)
+    size = min(budget, rows * means_sorted.size)
+    d_buf = np.empty(size)
+    k_buf = np.empty(size)
+
+    def evaluate(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        out = np.zeros((len(coef), nodes.size))
+        for start in range(0, nodes.size, rows):
+            blk = nodes[start : start + rows, None]
+            nb = blk.shape[0]
+            acc = out[:, start : start + nb]
+            j0 = means_sorted.searchsorted(float(blk[0, 0]) - window)
+            j1 = means_sorted.searchsorted(float(blk[-1, 0]) + window)
+            step = budget // nb
+            for c0 in range(j0, j1, step):
+                c1 = min(c0 + step, j1)
+                d = d_buf[: nb * (c1 - c0)].reshape(nb, c1 - c0)
+                k = k_buf[: d.size].reshape(d.shape)
+                np.subtract(blk, means_sorted[c0:c1], out=d)
+                np.multiply(d, neg_inv2s2, out=k)
+                k *= d
+                np.exp(k, out=k)
+                for row, c in zip(acc, coef):
+                    row += k @ c[c0:c1]
+        out *= norm
+        return out[0], (None if value_coeff is None else out[1])
+
+    return evaluate
 
 
 def _refine(estimate, levels: int, rel_tol: float, abs_tol: float) -> tuple[float, float]:
@@ -111,8 +144,10 @@ def _mixture_integral(
     n0 = int(np.ceil((hi - lo) / (0.5 * sigma)))
     step0 = (hi - lo) / n0
 
+    evaluate = _mixture_evaluator(ms, ws, sigma, coeff)
+
     def f(nodes: np.ndarray) -> np.ndarray:
-        p, num = _mixture_eval(nodes, ms, ws, sigma, value_coeff=coeff)
+        p, num = evaluate(nodes)
         mask = p > 0.0
         out = np.zeros_like(p)
         out[mask] = integrand(p[mask], None if num is None else num[mask])

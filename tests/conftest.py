@@ -6,7 +6,7 @@ import pytest
 from isirate.bounds import _CF_BLOCK, _MC_STREAMS, _density_tables
 from isirate.channel import ChannelResponse, transfer_power
 from isirate.errors import DomainError, NonConvergent
-from isirate.gaussmix import _refine
+from isirate.gaussmix import _NODE_BLOCK, _WINDOW_SIGMAS, _refine
 from isirate.montecarlo import _sample_indices, stream_rng
 
 
@@ -104,6 +104,33 @@ def char_fn_full_grid(taps, atoms, probs, sigma: float, omega: np.ndarray) -> np
         arg = np.multiply.outer(np.multiply.outer(taps[i : i + block], atoms), omega)
         phi *= (probs @ np.cos(arg) + 1j * (probs @ np.sin(arg))).prod(axis=0)
     return phi
+
+
+def mixture_eval_dense(nodes, means_sorted, weights_sorted, sigma: float, value_coeff=None):
+    """(p, num) at ascending nodes, p(y) = sum_j w_j N(y; c_j, s^2) and
+    num(y) = sum_j v_j w_j N(y; c_j, s^2) (None without ``value_coeff``):
+    one kernel matrix per block of _NODE_BLOCK nodes over the components
+    within _WINDOW_SIGMAS of the block, up to 2^23 elements (64 MB) each.
+    The oracle of the library's cache-sized, in-place tiles."""
+    p = np.zeros_like(nodes)
+    num = np.zeros_like(nodes) if value_coeff is not None else None
+    window = _WINDOW_SIGMAS * sigma
+    norm = 1.0 / (sigma * np.sqrt(2.0 * np.pi))
+    inv2s2 = 1.0 / (2.0 * sigma * sigma)
+    for start in range(0, nodes.size, _NODE_BLOCK):
+        blk = nodes[start : start + _NODE_BLOCK]
+        sl = slice(start, start + blk.size)
+        j0 = np.searchsorted(means_sorted, blk[0] - window)
+        j1 = np.searchsorted(means_sorted, blk[-1] + window)
+        comp_chunk = max(1, 2**23 // blk.size)
+        for c0 in range(j0, j1, comp_chunk):
+            c1 = min(c0 + comp_chunk, j1)
+            d = blk[:, None] - means_sorted[None, c0:c1]
+            kern = np.exp(-inv2s2 * d * d)
+            p[sl] += norm * (kern @ weights_sorted[c0:c1])
+            if num is not None:
+                num[sl] += norm * (kern @ (value_coeff[c0:c1] * weights_sorted[c0:c1]))
+    return p, num
 
 
 def i_mmse_mc_one_shot(design, x, n_samples: int, seed: int) -> tuple[float, float]:

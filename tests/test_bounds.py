@@ -108,6 +108,21 @@ class TestImmseExact:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_mixture_entropies_hold_tiles_not_kernel_matrices(self):
+        # channel_b, trinary(0.01), -14 dB: mixtures of 49886 and 17082
+        # components, whose kernel matrices per node block would take
+        # 61.5 MB; the cache-sized tiles keep the call near 3.3 MB
+        x = make_trinary(0.01)
+        d = design_mmse_dfe(channel_b(), x, 10**-1.4)
+        tracemalloc.start()
+        try:
+            res = i_mmse_exact(d, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.n_components == (49886, 17082)
+        assert peak < 8 * 2**20
+
     def test_skewed_refused_by_class_count(self):
         # jeong, skewed_binary(0.002), -4 dB: 45 taps with x_0, and the
         # fewest patterns holding all but the mass budget number 5.1e7

@@ -242,6 +242,21 @@ class TestSubcommands:
         assert out["g_zf_dfe"] == gap.g_zf_dfe
         assert out["witness"] == list(gap.witness)
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["dmin", "--channel", "[0.3, 1.0]", "--input", "bpsk"],
+            ["highsnr-probe", "--channel", "[0.3, 1.0]", "--input", "bpsk", "--snr-db", "20"],
+        ],
+        ids=lambda c: c[0],
+    )
+    def test_normalized_form_commands_take_no_normalize(self, command, capsys):
+        # both read the channel's normalized form, so the flag would be ignored
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--normalize"])
+        assert exc.value.code == 2
+        assert "--normalize" in capsys.readouterr().err
+
     def test_highsnr_probe(self, capsys):
         code = main(
             [

@@ -9,7 +9,14 @@ from scipy.integrate import quad
 from isirate.channel import channel_b
 from isirate.equalizer import design_mmse_dfe
 from isirate.errors import DomainError, NonConvergent
-from isirate.gaussmix import _refine, mixture_conditional_second_moment, mixture_entropy
+import isirate.gaussmix
+from isirate.bounds import _BUDGET, _PRUNE_MASS, _enumerate_mixture
+from isirate.gaussmix import (
+    _mixture_evaluator,
+    _refine,
+    mixture_conditional_second_moment,
+    mixture_entropy,
+)
 from isirate.scalar import (
     InputDistribution,
     binary_entropy,
@@ -24,7 +31,7 @@ from isirate.scalar import (
     q_tail,
 )
 
-from conftest import mmse_binary
+from conftest import mixture_eval_dense, mmse_binary
 
 PRESETS = {
     "bpsk": bpsk(),
@@ -292,3 +299,101 @@ class TestMixtureQuadrature:
         assert second == pytest.approx(
             _quad_over_mixture(second_moment_integrand, vals, 1.0), rel=1e-11, abs=0.0
         )
+
+
+def _assert_kernel_matches_dense(nodes, means, weights, sigma, values):
+    """The blocked kernel against the one-shot oracle, without and with
+    value coefficients: p within 1e-14 relative wherever the oracle's
+    p > 1e-300, and num within 1e-14 of sum_j |v_j| w_j N(y; c_j, s^2),
+    the size of its terms, since num may cancel to zero."""
+    for coeff in (None, values):
+        p, num = _mixture_evaluator(means, weights, sigma, coeff)(nodes)
+        p_ref, num_ref = mixture_eval_dense(nodes, means, weights, sigma, coeff)
+        live = p_ref > 1e-300
+        assert live.any()
+        assert np.all(np.abs(p - p_ref)[live] <= 1e-14 * p_ref[live])
+        if coeff is None:
+            assert num is None
+        else:
+            scale, _ = mixture_eval_dense(nodes, means, np.abs(values) * weights, sigma)
+            assert np.all(np.abs(num - num_ref)[live] <= 1e-14 * scale[live])
+
+
+def _random_mixture(rng, n_comp: int, spread: float):
+    means = np.sort(rng.uniform(-spread, spread, n_comp))
+    weights = rng.uniform(0.1, 1.0, n_comp)
+    return means, weights / weights.sum(), rng.standard_normal(n_comp)
+
+
+class TestMixtureKernel:
+    """Cache-sized tiles filled in place against one kernel matrix per node
+    block. At the default tile budget both sum over the same components;
+    only the summation order differs."""
+
+    @pytest.mark.parametrize("n_nodes", [1, 511, 513, 1100])
+    @pytest.mark.parametrize("n_comp", [127, 128, 129, 863])
+    def test_against_dense(self, n_nodes, n_comp):
+        # 512-node blocks take 128-component tiles and the last block of
+        # 1100 nodes (76) takes 862, so these counts straddle a tile edge
+        rng = np.random.default_rng(1000 * n_nodes + n_comp)
+        means, weights, values = _random_mixture(rng, n_comp, 60.0)
+        nodes = np.sort(rng.uniform(-75.0, 75.0, n_nodes))
+        _assert_kernel_matches_dense(nodes, means, weights, 1.3, values)
+
+    @pytest.mark.parametrize("n_nodes", [100, 1100])
+    @pytest.mark.parametrize("n_atoms", [2, 3])
+    def test_small_alphabets_sum_as_one_matrix(self, n_nodes, n_atoms):
+        # the mixtures of I_x and mmse_x fit one tile per node block, so
+        # their sums are the oracle's bit for bit
+        rng = np.random.default_rng(n_atoms)
+        means, weights, values = _random_mixture(rng, n_atoms, 3.0)
+        nodes = np.linspace(means[0] - 10.0, means[-1] + 10.0, n_nodes)
+        p, num = _mixture_evaluator(means, weights, 1.0, values)(nodes)
+        p_ref, num_ref = mixture_eval_dense(nodes, means, weights, 1.0, values)
+        assert np.array_equal(p, p_ref)
+        assert np.array_equal(num, num_ref)
+        p, _ = _mixture_evaluator(means, weights, 1.0)(nodes)
+        assert np.array_equal(p, p_ref)
+
+    def test_one_node_against_a_tile_and_one_more(self):
+        rng = np.random.default_rng(7)
+        means, weights, values = _random_mixture(rng, 2**16 + 1, 5.0)
+        _assert_kernel_matches_dense(np.array([0.3]), means, weights, 1.0, values)
+
+    def test_clusters_outside_the_window(self):
+        # three clusters 300 sigma apart: every node block skips the far ones
+        rng = np.random.default_rng(11)
+        means = np.sort(np.concatenate([c + rng.uniform(-3.0, 3.0, 40) for c in (-300.0, 0.0, 300.0)]))
+        weights = rng.uniform(0.1, 1.0, means.size)
+        nodes = np.linspace(-320.0, 320.0, 1100)
+        _assert_kernel_matches_dense(
+            nodes, means, weights / weights.sum(), 1.0, rng.standard_normal(means.size)
+        )
+
+    @pytest.mark.parametrize("budget", [1, 7])
+    def test_tiny_tiles(self, monkeypatch, budget):
+        # nodes on an integration grid, means closer than sigma: every node
+        # has mass within 10 sigma, so the narrower windows of the smaller
+        # node blocks skip only terms below 1e-18 of p
+        monkeypatch.setattr(isirate.gaussmix, "_EVAL_BUDGET", budget)
+        rng = np.random.default_rng(budget)
+        means, weights, values = _random_mixture(rng, 30, 10.0)
+        nodes = np.linspace(means[0] - 10.0, means[-1] + 10.0, 101)
+        _assert_kernel_matches_dense(nodes, means, weights, 1.0, values)
+
+    def test_channel_b_trinary_mixture(self):
+        # the 49886 components of h(x_0 + mu_1 + m) at -14 dB, on the first
+        # level of the integration grid
+        x = make_trinary(0.01)
+        d = design_mmse_dfe(channel_b(), x, 10**-1.4)
+        taps0 = np.concatenate(([1.0], d.residual))
+        means, weights, _ = _enumerate_mixture(
+            taps0, np.asarray(x.atoms), np.asarray(x.probs), _BUDGET, 0.5 * _PRUNE_MASS
+        )
+        assert means.size == 49886
+        order = np.argsort(means, kind="stable")
+        means, weights = means[order], weights[order]
+        sigma = math.sqrt(d.noise_var)
+        nodes = np.arange(means[0] - 10.0 * sigma, means[-1] + 10.0 * sigma, 0.5 * sigma)
+        values = np.random.default_rng(3).standard_normal(means.size)
+        _assert_kernel_matches_dense(nodes, means, weights, sigma, values)
