@@ -21,7 +21,6 @@ from .scalar import (
     make_trinary,
     mmse,
     mutual_info,
-    q_tail,
 )
 from .equalizer import (
     DfeDesign,

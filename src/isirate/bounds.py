@@ -2,27 +2,31 @@
 
 The central object is the unbiased-DFE channel z = x_0 + sum_k alpha_k x_k + m,
 a DfeDesign. Its mutual information is evaluated two independent ways:
-exact enumeration of the interference mixture (i_mmse_exact), which raises
-BudgetExceeded past _BUDGET components, and pattern-sampling Monte Carlo
-against a characteristic-function density table (i_mmse_mc). The Monte
-Carlo route reads, per sample, one 64-bit Philox word per tap, sample
+exact enumeration of the interference mixture (i_mmse_exact), and
+pattern-sampling Monte Carlo against a characteristic-function density
+table (i_mmse_mc). The enumeration keeps the patterns whose weight reaches
+one floor, read off the table of atom-count classes, so it knows its size
+before it starts and raises BudgetExceeded past _BUDGET components. The
+Monte Carlo route reads, per sample, one 64-bit Philox word per tap, sample
 after sample, and then each stream's normals; it draws the words in
 blocks of _MC_BLOCK, so its memory is O(block), not O(samples x taps).
 bound_report takes the route it is asked for and never swaps one for the
 other. Around it sit the single-letter proxies (i_sow, i_sl), the low-SNR
 gap expansion, the genie MMSE lower bound and the Information-Estimation
-bound family. Each bound built on the DFE has one form, f(design, x);
-i_sow needs no design and takes (channel, x, rho). All rates are nats.
+bound family, whose optimum ie_opt takes one route of derivative roots
+(the I-MMSE relation). Each bound built on the DFE has one form,
+f(design, x); i_sow needs no design and takes (channel, x, rho). All rates
+are nats.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .channel import ChannelResponse
 from .equalizer import DfeDesign, design_mmse_dfe
@@ -31,9 +35,9 @@ from .gaussmix import consolidate_atoms, mixture_entropy
 from .montecarlo import RateEstimate, stream_rng
 from .scalar import InputDistribution, discrete_mmse, mmse, mutual_info
 
-_HALF_LOG_2PIE = 0.5 * math.log(2.0 * math.pi * math.e)
+_EPS = float(np.finfo(float).eps)
 _BUDGET = 2**24  # mixture components i_mmse_exact may keep
-# Atom-count classes _log_min_patterns sorts at most (8 MB per class array)
+# Atom-count classes _weight_floor sorts at most (8 MB per class array)
 _CLASS_CAP = 2**20
 _I_MMSE_METHODS = ("exact", "mc", "none")
 _PRUNE_MASS = 1e-12
@@ -68,19 +72,24 @@ class ImmseExact:
     pruned_mass: float
 
 
-def _log_min_patterns(probs: np.ndarray, n_steps: int, mass_budget: float) -> float:
-    """log of the fewest patterns of n_steps i.i.d. atoms that hold all but
-    mass_budget of the probability.
+def _weight_floor(probs: np.ndarray, n_steps: int, mass_budget: float) -> tuple[float, float, float]:
+    """(log floor, patterns kept, mass dropped) of the patterns of n_steps
+    i.i.d. atoms whose weight reaches a floor.
 
     Patterns with the same atom counts k (sum k = n_steps) share the weight
     prod p_a^k_a, so the C(n_steps + |A| - 1, |A| - 1) count classes are
-    sorted by weight: the lightest are dropped whole while their mass fits
-    the budget, then single patterns of the next class while they still fit.
-    Past _CLASS_CAP classes it returns the lower bound (1 - mass_budget) /
-    p_max^N instead, as no pattern weighs more than p_max^N.
+    sorted by weight, and classes within 1e-9 of each other in log weight
+    form one group. Groups are dropped whole, lightest first, while their
+    mass fits mass_budget; the floor is the log weight of the lightest
+    class kept. Raises BudgetExceeded past _CLASS_CAP classes, which are
+    not counted.
     """
-    if math.comb(n_steps + probs.size - 1, probs.size - 1) > _CLASS_CAP:
-        return math.log1p(-mass_budget) - n_steps * math.log(probs.max())
+    n_classes = math.comb(n_steps + probs.size - 1, probs.size - 1)
+    if n_classes > _CLASS_CAP:
+        raise BudgetExceeded(
+            f"mixture of {n_steps} taps has {n_classes} weight classes, more than "
+            f"{_CLASS_CAP} to count its components; use the mc I_MMSE route"
+        )
     counts = np.zeros((1, 0), dtype=np.int64)
     for _ in range(probs.size - 1):
         reps = n_steps - counts.sum(axis=1) + 1
@@ -91,13 +100,14 @@ def _log_min_patterns(probs: np.ndarray, n_steps: int, mass_budget: float) -> fl
     log_n = gammaln(n_steps + 1.0) - gammaln(counts + 1.0).sum(axis=1)
     order = np.argsort(log_w, kind="stable")
     log_w, log_n = log_w[order], log_n[order]
-    mass = np.exp(log_w + log_n)
-    cum = np.concatenate(([0.0], np.cumsum(mass)))
-    i = int(np.searchsorted(cum, mass_budget, side="right")) - 1  # cum[i] <= budget < cum[i+1]
-    rest = mass[i] - (mass_budget - cum[i])
-    # at least one pattern of the first class not dropped whole stays
-    partial = math.log(rest) - log_w[i] if rest > 0.0 else 0.0
-    return float(logsumexp(np.append(log_n[i + 1 :], partial)))
+    cum = np.cumsum(np.exp(log_w + log_n))
+    # the last class of each group, and the groups whose mass, with that of
+    # every lighter group, fits the budget
+    last = np.flatnonzero(np.append(np.diff(log_w) > 1e-9, True))
+    n_dropped = int(np.searchsorted(cum[last], mass_budget, side="right"))
+    first = int(last[n_dropped - 1]) + 1 if n_dropped else 0
+    dropped = float(cum[first - 1]) if first else 0.0
+    return float(log_w[first]), float(np.exp(log_n[first:]).sum()), dropped
 
 
 def _enumerate_mixture(
@@ -107,52 +117,35 @@ def _enumerate_mixture(
     budget: int,
     mass_budget: float,
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """All interference patterns as (means, weights, dropped_mass).
+    """The interference patterns at or above the weight floor of
+    _weight_floor, as (means ascending, weights renormalised, dropped mass).
 
-    Lowest-weight components are dropped, never exceeding ``mass_budget``
-    in total; if the survivors still exceed ``budget`` the enumeration is
-    abandoned. It is refused before it starts when even the fewest patterns
-    holding all but ``mass_budget`` of the probability (_log_min_patterns)
-    outnumber ``budget``.
+    A partial pattern is kept iff its weight times p_max^(taps left)
+    reaches the floor, so exactly the patterns of the kept classes are
+    enumerated, and no intermediate array outgrows their count. That count
+    is known before the enumeration starts, which raises BudgetExceeded
+    when it exceeds ``budget``.
     """
-    n_atoms = atoms.size
     n_steps = taps.size
-    message = f"mixture needs more than {budget} components; use the mc I_MMSE route"
-    if n_steps * math.log(n_atoms) > math.log(budget):
-        if _log_min_patterns(probs, n_steps, mass_budget) > math.log(budget):
-            raise BudgetExceeded(message)
+    log_floor, n_keep, dropped = _weight_floor(probs, n_steps, mass_budget)
+    if n_keep > budget:
+        raise BudgetExceeded(
+            f"mixture needs {n_keep:.3g} components, more than {budget}; use the mc I_MMSE route"
+        )
+    # half the 1e-9 grouping gap below the floor: round-off in the products
+    # cannot move a pattern across it
+    log_floor -= 5e-10
+    log_p_max = math.log(probs.max())
     means = np.zeros(1)
     w = np.ones(1)
-    dropped = 0.0
-
-    def prune(means, w, dropped, max_keep, step_mass):
-        """Drop the lightest components, spending at most step_mass of weight."""
-        if means.size <= max_keep and w.min() > step_mass:
-            return means, w, dropped  # not even the lightest is droppable
-        order = np.argsort(w)
-        cum = np.cumsum(w[order])
-        allowed = int(np.searchsorted(cum, step_mass, side="right"))
-        need = max(0, means.size - max_keep)
-        if allowed < need:
-            raise BudgetExceeded(message)
-        k = max(need, allowed)
-        if k == 0:
-            return means, w, dropped
-        drop = order[:k]
-        dropped += float(cum[k - 1])
-        keep = np.ones(means.size, dtype=bool)
-        keep[drop] = False
-        return means[keep], w[keep], dropped
-
-    for i, t in enumerate(taps):
-        # spend the mass budget evenly over the remaining expansions, so the
-        # total dropped probability stays below mass_budget
-        step_mass = (mass_budget - dropped) / (n_steps - i + 1)
-        means, w, dropped = prune(means, w, dropped, budget // n_atoms, step_mass)
-        means = (means[:, None] + t * atoms[None, :]).ravel()
-        w = (w[:, None] * probs[None, :]).ravel()
-    means, w, dropped = prune(means, w, dropped, budget, mass_budget - dropped)
-    return means, w / w.sum(), dropped
+    for left, t in zip(range(n_steps - 1, -1, -1), taps):
+        least = math.exp(log_floor - left * log_p_max)
+        keep = [w * p >= least for p in probs]
+        means = np.concatenate([means[k] + t * a for a, k in zip(atoms, keep)])
+        w = np.concatenate([w[k] * p for p, k in zip(probs, keep)])
+    order = np.argsort(means, kind="stable")
+    w = w[order]
+    return means[order], w / w.sum(), dropped
 
 
 def i_mmse_exact(design: DfeDesign, x: InputDistribution) -> ImmseExact:
@@ -175,8 +168,10 @@ def i_mmse_exact(design: DfeDesign, x: InputDistribution) -> ImmseExact:
     h1, e1 = mixture_entropy(m1, w1, sigma)
     pruned = drop0 + drop1
     # a renormalized drop of mass d moves each entropy by O(d log(d/p_min));
-    # 50 nats/unit-mass is a generous ceiling at the 1e-12 mass budget
-    err = e0 + e1 + 50.0 * pruned
+    # 50 nats/unit-mass is a generous ceiling at the 1e-12 mass budget. The
+    # entropies also round: another kernel tile size moved the value by up
+    # to 4 eps (|h0| + |h1|) on the presets, so 16 eps of that is a floor.
+    err = e0 + e1 + 50.0 * pruned + 16.0 * _EPS * (abs(h0) + abs(h1))
     return ImmseExact(
         value=h0 - h1,
         err_bound=err,
@@ -608,49 +603,50 @@ def _brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100)
 def ie_opt(design: DfeDesign, x: InputDistribution) -> tuple[float, float, float]:
     """Optimized two-parameter bound; returns (value, gamma1*, gamma2*).
 
-    Unless (S, S) is a KKT point of the bound, gamma2* equalizes mmse(g)
-    and the Gaussian bound b1^2/(1 + b1^2 g), and gamma1* <= gamma2*
-    equalizes b0^2 mmse(b0^2 g) and mmse(g). When a bracket holds no sign
-    change it falls back to the best gamma1 <= gamma2 on a log grid. The
-    result is never below the simple point (S, S) nor the trivial point
-    (0, 0), whose bound is 0; the latter is returned as (0.0, 0.0, 0.0).
+    The bound is T1(g1) + T2(g2) over 0 <= g1 <= g2 <= S, with
+    T1(g) = I_x(b0 g) - I_x(g) and T2(g) = I_x(g) - (1/2) log(1 + b1 g).
+    By the I-MMSE relation 2 T1' = b0 mmse(b0 g) - mmse(g) and
+    2 T2' = mmse(g) - b1/(1 + b1 g), and each maximiser below is a root of
+    such a derivative where it falls from + to -, or an end of its interval:
+    gamma2* maximises T2 on [1e-12 S, S]; if T1 still rises there the
+    constraint binds and both move up the diagonal, where
+    2 (T1 + T2)' = b0 mmse(b0 g) - b1/(1 + b1 g), on [gamma2*, S]; else
+    gamma1* maximises T1 on [1e-12 S, gamma2*]. For b1 >= 1,
+    mmse_x(g) <= 1/(1 + g) <= b1/(1 + b1 g), so T2 falls everywhere and the
+    diagonal branch is taken. The result is never below the simple point
+    (S, S) nor the trivial point (0, 0), whose bound is 0; the latter is
+    returned as (0.0, 0.0, 0.0).
     """
     s, b0, b1 = design.S, design.beta0_sq, design.beta1_sq
-    mm = lambda g: mmse(x, g)
+    mm = functools.cache(lambda g: mmse(x, g))
+    info = functools.cache(lambda g: mutual_info(x, g))
+    # roots to 1e-10 relative; the absolute floor is that of the lowest root
+    lo = 1e-12 * s
+
+    def argmax(slope, a: float, b: float) -> float:
+        """The maximiser on [a, b] whose derivative has the sign of slope."""
+        if slope(b) >= 0.0:
+            return b
+        if slope(a) <= 0.0:
+            return a
+        # a bracket from + to - keeps that orientation, so Brent's root is
+        # where the slope falls through 0: a local maximum
+        return _brentq(slope, a, b, xtol=1e-10 * lo, rtol=1e-10)
+
+    g2 = argmax(lambda g: mm(g) - b1 / (1.0 + b1 * g), lo, s)
+    # g1 is sought below g2 only: for skewed inputs the T1 slope changes
+    # sign many times in quadrature noise above its first root
+    if b0 * mm(b0 * g2) - mm(g2) > 0.0:
+        g1 = g2 = argmax(lambda g: b0 * mm(b0 * g) - b1 / (1.0 + b1 * g), g2, s)
+    else:
+        g1 = argmax(lambda g: b0 * mm(b0 * g) - mm(g), lo, g2)
+    # ie_bound's sum, term for term, on the memoised I_x
+    value = info(b0 * g1) - info(g1) + info(g2) - 0.5 * math.log1p(b1 * g2)
     # the simple point (S, S), or the trivial point (0, 0) whose bound is 0
     simple = ie_simple(design, x)
     best = (simple, s, s) if simple >= 0.0 else (0.0, 0.0, 0.0)
-    # stop at (S, S) only at a KKT point, b0 mmse(b0 S) >= mmse(S) and
-    # >= b1/(1 + b1 S); mmse round-off near 0 cannot fake the second
-    t1 = b0 * mm(b0 * s)
-    if t1 >= mm(s) and t1 >= b1 / (1.0 + b1 * s):
-        return best
-    # roots to 1e-10 relative; the absolute floor is that of the lowest root
-    lo = 1e-12 * s
-    root = lambda f, hi: _brentq(f, lo, hi, xtol=1e-10 * lo, rtol=1e-10)
-    f1 = lambda g: b0 * mm(b0 * g) - mm(g)
-    try:
-        if mm(s) >= b1 / (1.0 + b1 * s):
-            g2 = s
-        else:
-            g2 = root(lambda g: mm(g) - b1 / (1.0 + b1 * g), s)
-        # search g1 below g2 only: for skewed inputs f1 changes sign many
-        # times in quadrature noise above its first root
-        g1 = g2 if f1(g2) >= 0.0 else root(f1, g2)
-        value = ie_bound(design, x, g1, g2)
-    except ValueError:  # no sign change over the bracket, or a NaN
-        warnings.warn("ie_opt bracket failed; falling back to grid search")
-        grid = np.concatenate(([0.0], np.geomspace(1e-10 * s, s, 511)))
-        term1 = np.array([mutual_info(x, b0 * g) - mutual_info(x, g) for g in grid])
-        term2 = np.array(
-            [mutual_info(x, g) - 0.5 * math.log1p(b1 * g) for g in grid]
-        )
-        # the joint optimum over g1 <= g2: the best g1 up to each g2
-        i2 = int(np.argmax(np.maximum.accumulate(term1) + term2))
-        i1 = int(np.argmax(term1[: i2 + 1]))
-        g1, g2 = float(grid[i1]), float(grid[i2])
-        value = float(term1[i1] + term2[i2])
-    return (value, g1, g2) if value >= best[0] else best
+    value, g1, g2 = (value, g1, g2) if value >= best[0] else best
+    return float(value), float(g1), float(g2)
 
 
 # ---------------------------------------------------------------------------

@@ -135,16 +135,18 @@ def _mixture_integral(
     """(integral, err) of integrand(p, num) where p > 0, for the mixture p
     and num(y) = sum_j v_j w_j N(y; c_j, sigma^2) (None without ``values``),
     by the nested trapezoid rule of the module docstring over
-    _MIXTURE_LEVELS levels."""
-    order = np.argsort(means, kind="stable")
-    ms, ws = means[order], weights[order]
-    coeff = None if values is None else values[order]
-    lo = ms[0] - _TAIL_SIGMAS * sigma
-    hi = ms[-1] + _TAIL_SIGMAS * sigma
+    _MIXTURE_LEVELS levels. Means already in ascending order are used as
+    given, without a sorted copy of the mixture."""
+    if np.any(means[1:] < means[:-1]):
+        order = np.argsort(means, kind="stable")
+        means, weights = means[order], weights[order]
+        values = None if values is None else values[order]
+    lo = means[0] - _TAIL_SIGMAS * sigma
+    hi = means[-1] + _TAIL_SIGMAS * sigma
     n0 = int(np.ceil((hi - lo) / (0.5 * sigma)))
     step0 = (hi - lo) / n0
 
-    evaluate = _mixture_evaluator(ms, ws, sigma, coeff)
+    evaluate = _mixture_evaluator(means, weights, sigma, values)
 
     def f(nodes: np.ndarray) -> np.ndarray:
         p, num = evaluate(nodes)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import erfc, erfcx
+from scipy.special import erfcx
 
 from .errors import DomainError
 from .gaussmix import (
@@ -170,12 +170,6 @@ def discrete_mmse(values, probs, gamma: float) -> float:
         mean = float(np.dot(vals, wts))
         return ez2 - mean * mean
     return ez2 - mixture_conditional_second_moment(vals, wts, gamma)
-
-
-def q_tail(x) -> np.ndarray | float:
-    """Gaussian tail probability Q(x)."""
-    out = 0.5 * erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
-    return float(out) if np.ndim(x) == 0 else out
 
 
 def log_q_integral(s: float) -> float:

@@ -8,6 +8,7 @@ from isirate.channel import ChannelResponse, transfer_power
 from isirate.errors import DomainError, NonConvergent
 from isirate.gaussmix import _NODE_BLOCK, _WINDOW_SIGMAS, _refine
 from isirate.montecarlo import _sample_indices, stream_rng
+from isirate.scalar import mutual_info
 
 
 def random_unit_channel(rng: np.random.Generator, max_len: int = 6) -> ChannelResponse:
@@ -209,6 +210,52 @@ def mmse_binary(gamma: float) -> float:
     hi = root + 12.0
     n_panels = max(16, int(math.ceil(hi - lo)))
     return gl_integrate(integrand, lo, hi, min_panels=n_panels)
+
+
+def q_tail(x) -> np.ndarray | float:
+    """Gaussian tail probability Q(x), by SciPy's erfc."""
+    from scipy.special import erfc
+
+    out = 0.5 * erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
+    return float(out) if np.ndim(x) == 0 else out
+
+
+def ie_opt_dense(design, x, n_grid: int = 512) -> tuple[float, float, float]:
+    """(value, gamma1, gamma2): the IE bound T1(g1) + T2(g2) maximised over
+    0 <= g1 <= g2 <= S on a grid of 0 and n_grid - 1 log-spaced points from
+    1e-10 S to S, then polished by SciPy's bounded scalar search between
+    the neighbours of the winning grid points, both on the diagonal and
+    term by term. T1(g) = I_x(b0 g) - I_x(g) and
+    T2(g) = I_x(g) - log(1 + b1 g)/2 are read from I_x alone, so the oracle
+    shares neither the mmse derivatives nor the root search of ie_opt."""
+    from scipy.optimize import minimize_scalar
+
+    s, b0, b1 = design.S, design.beta0_sq, design.beta1_sq
+    t1 = lambda g: mutual_info(x, b0 * g) - mutual_info(x, g)
+    t2 = lambda g: mutual_info(x, g) - 0.5 * math.log1p(b1 * g)
+    grid = np.concatenate(([0.0], np.geomspace(1e-10 * s, s, n_grid - 1)))
+    v1 = np.array([t1(g) for g in grid])
+    v2 = np.array([t2(g) for g in grid])
+    # the best g1 up to each g2, then the best g2
+    i2 = int(np.argmax(np.maximum.accumulate(v1) + v2))
+    i1 = int(np.argmax(v1[: i2 + 1]))
+
+    def polish(f, i: int, lo: float, hi: float) -> float:
+        g = min(max(float(grid[i]), lo), hi)
+        a, b = max(float(grid[max(i - 1, 0)]), lo), min(float(grid[min(i + 1, n_grid - 1)]), hi)
+        if b > a:
+            res = minimize_scalar(lambda u: -f(u), bounds=(a, b), method="bounded", options={"xatol": 1e-13 * b})
+            if -res.fun > f(g):
+                g = float(res.x)
+        return g
+
+    best = [(float(v1[i1] + v2[i2]), float(grid[i1]), float(grid[i2]))]
+    g = polish(lambda u: t1(u) + t2(u), i2, 0.0, s)
+    best.append((t1(g) + t2(g), g, g))
+    g2 = polish(t2, i2, 0.0, s)
+    g1 = polish(t1, i1, 0.0, g2)
+    best.append((t1(g1) + t2(g2), g1, g2))
+    return max(best)
 
 
 @pytest.fixture

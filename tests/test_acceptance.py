@@ -33,13 +33,13 @@ from isirate.scalar import (
     make_trinary,
     mmse,
     mutual_info,
-    q_tail,
 )
 
 from conftest import (
     event_distance_sq,
     forward_log_likelihood,
     mmse_binary,
+    q_tail,
     quadrature_summary,
     random_unit_channel,
 )

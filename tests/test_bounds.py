@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from isirate.bounds import (
     _brentq,
@@ -13,10 +15,10 @@ from isirate.bounds import (
     _enumerate_mixture,
     _fft_grid,
     _frequencies,
-    _log_min_patterns,
     _LogDensityTable,
     _quintic_interp,
     _thresholds,
+    _weight_floor,
     bound_report,
     genie_equal_sigma,
     genie_mmse_lower,
@@ -109,7 +111,7 @@ class TestImmseExact:
         assert peak < 2**20
 
     def test_mixture_entropies_hold_tiles_not_kernel_matrices(self):
-        # channel_b, trinary(0.01), -14 dB: mixtures of 49886 and 17082
+        # channel_b, trinary(0.01), -14 dB: mixtures of 52905 and 16867
         # components, whose kernel matrices per node block would take
         # 61.5 MB; the cache-sized tiles keep the call near 3.3 MB
         x = make_trinary(0.01)
@@ -120,7 +122,7 @@ class TestImmseExact:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert res.n_components == (49886, 17082)
+        assert res.n_components == (52905, 16867)
         assert peak < 8 * 2**20
 
     def test_skewed_refused_by_class_count(self):
@@ -141,25 +143,71 @@ class TestImmseExact:
         "probs", [(0.002, 0.998), (0.5, 0.5), (0.01, 0.98, 0.01), (0.1, 0.2, 0.3, 0.4)]
     )
     def test_min_patterns_against_sorted_weights(self, probs):
-        # the class count against every pattern weight, lightest dropped first
+        # the class table against every pattern weight: groups of equal
+        # weight dropped whole, lightest first, while their mass fits
         probs = np.asarray(probs)
         n_steps = 12 if probs.size < 4 else 8
         w = np.ones(1)
         for _ in range(n_steps):
             w = (w[:, None] * probs[None, :]).ravel()
-        cum = np.cumsum(np.sort(w))
+        w = np.sort(w)
+        last = np.flatnonzero(np.append(np.diff(np.log(w)) > 1e-9, True))
+        group_cum = np.cumsum(w)[last]
         for mass_budget in (1e-12, 1e-6, 1e-3, 0.1):
-            fewest = w.size - int(np.searchsorted(cum, mass_budget, side="right"))
-            got = math.exp(_log_min_patterns(probs, n_steps, mass_budget))
-            assert got == pytest.approx(fewest, abs=1.01), mass_budget
+            n_dropped = int(np.searchsorted(group_cum, mass_budget, side="right"))
+            first = int(last[n_dropped - 1]) + 1 if n_dropped else 0
+            log_floor, kept, dropped = _weight_floor(probs, n_steps, mass_budget)
+            assert log_floor == pytest.approx(math.log(w[first]), abs=1e-12), mass_budget
+            assert kept == pytest.approx(w.size - first, abs=1e-6), mass_budget
+            assert dropped == pytest.approx(w[:first].sum(), rel=1e-12, abs=1e-300)
+            assert dropped <= mass_budget
 
-    def test_min_patterns_past_class_cap_is_a_lower_bound(self, monkeypatch):
-        probs, n_steps = np.array([0.01, 0.98, 0.01]), 30  # 496 classes
-        exact = _log_min_patterns(probs, n_steps, 1e-12)
+    @pytest.mark.parametrize("probs", [(0.01, 0.98, 0.01), (0.05, 0.45, 0.45, 0.05)])
+    def test_count_up_front_is_the_enumerated_size(self, probs):
+        # tied probabilities give classes of equal weight, kept or dropped
+        # together, so the count before enumerating is exact
+        probs = np.asarray(probs)
+        atoms = np.linspace(-1.0, 1.0, probs.size)
+        taps = np.linspace(1.0, 0.2, 9)
+        for mass_budget in (1e-12, 1e-6, 1e-3, 0.1):
+            _, kept, dropped = _weight_floor(probs, taps.size, mass_budget)
+            means, w, got_dropped = _enumerate_mixture(taps, atoms, probs, 2**24, mass_budget)
+            assert means.size == round(kept), mass_budget
+            assert got_dropped == dropped <= mass_budget
+            assert np.all(np.diff(means) >= 0.0)
+
+    def test_long_skewed_residual_fits(self):
+        # 20 taps of skewed_binary(0.002): 1351 patterns, within a budget of
+        # 2^11, hold all but 1e-6 of the mass
+        x = make_skewed_binary(0.002)
+        means, w, dropped = _enumerate_mixture(
+            np.linspace(1.0, 0.05, 20), np.asarray(x.atoms), np.asarray(x.probs), 2**11, 1e-6
+        )
+        assert means.size == 1351
+        assert 0.0 < dropped <= 1e-6
+        assert w.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_past_class_cap_raises_before_enumerating(self, monkeypatch):
+        # 30 taps have 496 classes; within the cap, the 472761 patterns that
+        # hold all but 1e-3 of the mass would take 20 MB to enumerate
+        probs, taps = np.array([0.01, 0.98, 0.01]), np.linspace(1.0, 0.1, 30)
         monkeypatch.setattr(isirate.bounds, "_CLASS_CAP", 100)
-        bound = _log_min_patterns(probs, n_steps, 1e-12)
-        assert bound == pytest.approx(math.log1p(-1e-12) - n_steps * math.log(0.98))
-        assert bound <= exact
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded, match="weight classes"):
+                _enumerate_mixture(taps, np.array([-1.0, 0.0, 1.0]), probs, 2**24, 1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
+    def test_err_bound_covers_tile_round_off(self, monkeypatch):
+        # jeong bpsk at -30 dB: smaller kernel tiles change only the order
+        # of summation, and the value by no more than its error bound
+        d = design_mmse_dfe(jeong(), bpsk(), 1e-3)
+        ref = i_mmse_exact(d, bpsk())
+        monkeypatch.setattr(isirate.gaussmix, "_EVAL_BUDGET", 2**12)
+        assert abs(i_mmse_exact(d, bpsk()).value - ref.value) <= ref.err_bound
 
     def test_reference_sign_skewed_low_snr(self):
         # in the low-SNR regime I_MMSE falls below I_SL for skewed input
@@ -637,30 +685,54 @@ class TestIeBounds:
         for g in np.geomspace(1e-6 * g2, g2, 60):
             assert opt >= ie_bound(d, x, float(g), g2) - 1e-12
 
-    def test_opt_bracket_failure_falls_back_to_grid(self):
-        # beta1_sq > 1: mmse(g) - b1/(1 + b1 g) has no sign change
+    def test_opt_with_falling_t2_climbs_the_diagonal(self):
+        # beta1_sq > 1: T2 = I_x(g) - log(1 + b1 g)/2 falls everywhere, so
+        # the constraint binds and the optimum lies on g1 = g2
         x = make_skewed_binary(0.002)
         d = design_mmse_dfe(jeong(), x, 0.1)
-        with pytest.warns(UserWarning, match="grid search"):
-            opt, g1, g2 = ie_opt(d, x)
+        assert d.beta1_sq > 1.0
+        opt, g1, g2 = ie_opt(d, x)
         assert opt >= ie_simple(d, x)
-        assert 0.0 <= g1 <= g2
-        # the simple point is negative here, and the joint grid optimum on
-        # the diagonal beats the trivial point's 0
+        assert 0.0 < g1 == g2 < d.S
+        # the simple point is negative here, and the diagonal optimum beats
+        # the trivial point's 0
         assert all(type(v) is float for v in (opt, g1, g2))
         assert opt == pytest.approx(0.002908, abs=1e-6)
         assert opt == pytest.approx(ie_bound(d, x, g1, g2), abs=1e-15)
 
-    def test_opt_grid_fallback_is_joint_over_g1_below_g2(self):
-        # with b1 > 1 the separate argmaxes of T1 and T2 clip off the
+    def test_opt_is_joint_over_g1_below_g2(self):
+        # with b1 > 1 the separate maximisers of T1 and T2 clip off the
         # diagonal, where ie_bound(g, g) reaches 0.02064 at g = 0.0714
         x = make_trinary(0.01)
         d = design_mmse_dfe(jeong(), x, 0.1)
-        with pytest.warns(UserWarning, match="grid search"):
-            opt, g1, g2 = ie_opt(d, x)
+        opt, g1, g2 = ie_opt(d, x)
         assert 0.0 <= g1 <= g2
         assert opt >= ie_bound(d, x, 0.0714, 0.0714) > 0.0206
         assert opt == pytest.approx(ie_bound(d, x, g1, g2), abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "x,floor", [(make_trinary(0.01), 0.028036), (make_skewed_binary(0.002), 0.003922)],
+        ids=["trinary", "skewed"],
+    )
+    def test_opt_not_stopped_short_at_minus_4_db(self, x, floor):
+        # jeong at -4 dB: the first root of the T1 slope taken on [lo, S]
+        # gives 0.007797 (trinary) and 0.001006 (skewed) nats
+        d = design_mmse_dfe(jeong(), x, 10**-0.4)
+        opt, _, _ = ie_opt(d, x)
+        assert opt >= floor
+
+    @pytest.mark.parametrize(
+        "ch,snrs_db",
+        [(jeong(), range(-11, 6)), (channel_b(), (-30, -10, 0, 10, 30)), (jeong_spaced(), (-30, -10, 0, 10, 30))],
+        ids=["jeong", "channel_b", "jeong_spaced"],
+    )
+    def test_opt_matches_dense_grid_oracle(self, ch, snrs_db):
+        for x in (bpsk(), make_skewed_binary(0.002), make_trinary(0.01)):
+            for snr_db in snrs_db:
+                d = design_mmse_dfe(ch, x, 10 ** (snr_db / 10))
+                opt, _, _ = ie_opt(d, x)
+                oracle, _, _ = conftest.ie_opt_dense(d, x, n_grid=128)
+                assert opt == pytest.approx(oracle, abs=1e-9), (x.probs, snr_db)
 
     def test_opt_not_below_trivial_point(self):
         # ie_bound(0, 0) = 0, and an interior point does better still; the
@@ -717,6 +789,47 @@ class TestIeBounds:
             rel.append((gauss - ie_simple(d, bpsk())) / rho)
         assert abs(rel[1]) < abs(rel[0])
         assert abs(rel[1]) < 1e-3
+
+
+@st.composite
+def _channels(draw):
+    """2-6 taps, about a fifth of them with a spectral null at pi."""
+    taps = draw(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=6))
+    if draw(st.integers(0, 4)) == 0:
+        # sum (-1)^k h_k = 0 puts a zero of H on the unit circle at pi
+        n = len(taps)
+        taps[-1] = (-1) ** n * sum((-1) ** k * t for k, t in enumerate(taps[:-1]))
+    energy = sum(t * t for t in taps)
+    assume(energy > 1e-2 and abs(taps[0]) > 1e-3 and abs(taps[-1]) > 1e-3)
+    return ChannelResponse(tuple(t / math.sqrt(energy) for t in taps))
+
+
+@st.composite
+def _inputs(draw):
+    """Zero-mean laws of 2-4 atoms."""
+    n = draw(st.integers(2, 4))
+    atoms = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+    probs = np.array(draw(st.lists(st.floats(0.005, 1.0), min_size=n, max_size=n)))
+    probs /= probs.sum()
+    atoms -= atoms @ probs
+    assume(np.min(np.diff(np.sort(atoms))) > 1e-2)
+    return InputDistribution(tuple(atoms), tuple(probs))
+
+
+class TestIeOptProperties:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(ch=_channels(), x=_inputs(), snr_db=st.floats(-40.0, 45.0))
+    def test_optimum_of_its_family(self, ch, x, snr_db):
+        d = design_mmse_dfe(ch, x, 10 ** (snr_db / 10))
+        opt, g1, g2 = ie_opt(d, x)
+        assert 0.0 <= g1 <= g2 <= d.S
+        assert opt == pytest.approx(ie_bound(d, x, g1, g2), abs=1e-15)
+        assert opt >= max(ie_simple(d, x), 0.0)
+        # no feasible point within a factor 1 +- 1e-3 of (g1, g2) beats it
+        for a in (g1 * (1 - 1e-3), g1, g1 * (1 + 1e-3)):
+            for b in (g2 * (1 - 1e-3), g2, g2 * (1 + 1e-3)):
+                if a <= b <= d.S:
+                    assert opt >= ie_bound(d, x, a, b) - 1e-12, (a, b)
 
 
 _BRENT_CHANNELS = [channel_b(), jeong(), jeong_spaced()]

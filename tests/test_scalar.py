@@ -1,6 +1,7 @@
 """Input distributions and scalar Gaussian-channel quantities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,10 +29,9 @@ from isirate.scalar import (
     mmse,
     mutual_info,
     parse_input_spec,
-    q_tail,
 )
 
-from conftest import mixture_eval_dense, mmse_binary
+from conftest import mixture_eval_dense, mmse_binary, q_tail
 
 PRESETS = {
     "bpsk": bpsk(),
@@ -382,18 +382,46 @@ class TestMixtureKernel:
         _assert_kernel_matches_dense(nodes, means, weights, 1.0, values)
 
     def test_channel_b_trinary_mixture(self):
-        # the 49886 components of h(x_0 + mu_1 + m) at -14 dB, on the first
-        # level of the integration grid
+        # the 52905 components of h(x_0 + mu_1 + m) at -14 dB, which the
+        # enumeration returns in ascending order, on the first level of the
+        # integration grid
         x = make_trinary(0.01)
         d = design_mmse_dfe(channel_b(), x, 10**-1.4)
         taps0 = np.concatenate(([1.0], d.residual))
         means, weights, _ = _enumerate_mixture(
             taps0, np.asarray(x.atoms), np.asarray(x.probs), _BUDGET, 0.5 * _PRUNE_MASS
         )
-        assert means.size == 49886
-        order = np.argsort(means, kind="stable")
-        means, weights = means[order], weights[order]
+        assert means.size == 52905
+        assert np.all(np.diff(means) >= 0.0)
         sigma = math.sqrt(d.noise_var)
         nodes = np.arange(means[0] - 10.0 * sigma, means[-1] + 10.0 * sigma, 0.5 * sigma)
         values = np.random.default_rng(3).standard_normal(means.size)
         _assert_kernel_matches_dense(nodes, means, weights, sigma, values)
+
+
+class TestSortedMixture:
+    """A mixture whose means already ascend is integrated as given."""
+
+    def test_sorted_and_shuffled_agree_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        means, weights, values = _random_mixture(rng, 3000, 40.0)
+        perm = rng.permutation(means.size)
+        assert mixture_entropy(means, weights, 0.7) == mixture_entropy(means[perm], weights[perm], 0.7)
+        assert mixture_conditional_second_moment(
+            means, weights, 2.0
+        ) == mixture_conditional_second_moment(means[perm], weights[perm], 2.0)
+
+    def test_presorted_input_is_not_copied(self):
+        # 2^20 components (8 MB each of means and weights): a sorted copy
+        # with its index would take 24 MB
+        rng = np.random.default_rng(6)
+        means = np.sort(rng.uniform(-2.0, 2.0, 2**20))
+        weights = np.full(means.size, 1.0 / means.size)
+        tracemalloc.start()
+        try:
+            h, _ = mixture_entropy(means, weights, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(h)
+        assert peak < 2 * 2**20
