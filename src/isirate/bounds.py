@@ -31,7 +31,7 @@ from scipy.special import gammaln
 from .channel import ChannelResponse
 from .equalizer import DfeDesign, design_mmse_dfe
 from .errors import BudgetExceeded, DomainError, NonConvergent
-from .gaussmix import consolidate_atoms, mixture_entropy
+from .gaussmix import consolidate_atoms, kernel_route, mixture_entropy
 from .montecarlo import RateEstimate, stream_rng
 from .scalar import InputDistribution, discrete_mmse, mmse, mutual_info
 
@@ -70,6 +70,10 @@ class ImmseExact:
     err_bound: float
     n_components: tuple[int, int]  # (with x_0, interference only)
     pruned_mass: float
+    # per entropy, as n_components: "tiles" or "hermite", and the number of
+    # coefficients its kernel sums run over (gaussmix.kernel_route)
+    kernel_routes: tuple[str, str]
+    kernel_coefficients: tuple[int, int]
 
 
 def _weight_floor(probs: np.ndarray, n_steps: int, mass_budget: float) -> tuple[float, float, float]:
@@ -155,7 +159,8 @@ def i_mmse_exact(design: DfeDesign, x: InputDistribution) -> ImmseExact:
     are differential entropies of enumerated Gaussian mixtures over the
     truncated residual taps, each pruned of at most half of _PRUNE_MASS.
     Raises BudgetExceeded when either mixture keeps more than _BUDGET
-    components.
+    components. Each entropy's kernel route, and on the Hermite route the
+    bound on its truncation, is that of gaussmix.kernel_route.
     """
     atoms = np.asarray(x.atoms)
     probs = np.asarray(x.probs)
@@ -166,17 +171,22 @@ def i_mmse_exact(design: DfeDesign, x: InputDistribution) -> ImmseExact:
     m1, w1, drop1 = _enumerate_mixture(taps1, atoms, probs, _BUDGET, 0.5 * _PRUNE_MASS)
     h0, e0 = mixture_entropy(m0, w0, sigma)
     h1, e1 = mixture_entropy(m1, w1, sigma)
+    k0 = kernel_route(m0.size, float(m0[-1] - m0[0]), sigma)
+    k1 = kernel_route(m1.size, float(m1[-1] - m1[0]), sigma)
     pruned = drop0 + drop1
     # a renormalized drop of mass d moves each entropy by O(d log(d/p_min));
     # 50 nats/unit-mass is a generous ceiling at the 1e-12 mass budget. The
     # entropies also round: another kernel tile size moved the value by up
     # to 4 eps (|h0| + |h1|) on the presets, so 16 eps of that is a floor.
     err = e0 + e1 + 50.0 * pruned + 16.0 * _EPS * (abs(h0) + abs(h1))
+    err += k0.entropy_truncation + k1.entropy_truncation
     return ImmseExact(
         value=h0 - h1,
         err_bound=err,
         n_components=(m0.size, m1.size),
         pruned_mass=pruned,
+        kernel_routes=(k0.route, k1.route),
+        kernel_coefficients=(k0.coefficients, k1.coefficients),
     )
 
 

@@ -209,6 +209,40 @@ class TestImmseExact:
         monkeypatch.setattr(isirate.gaussmix, "_EVAL_BUDGET", 2**12)
         assert abs(i_mmse_exact(d, bpsk()).value - ref.value) <= ref.err_bound
 
+    @pytest.mark.parametrize("radius, order", [(0.025, 12), (0.05, 16), (0.0125, 16)])
+    def test_err_bound_covers_expansion_order_and_box_width(self, monkeypatch, radius, order):
+        # channel_b, trinary(0.01), -14 dB (52905 and 16867 components,
+        # both on the Hermite route): another box width or order changes
+        # the value by round-off only (0 or 4.4e-16), and by no more than
+        # its error bound
+        x = make_trinary(0.01)
+        d = design_mmse_dfe(channel_b(), x, 10**-1.4)
+        ref = i_mmse_exact(d, x)
+        assert ref.kernel_routes == ("hermite", "hermite")
+        monkeypatch.setattr(isirate.gaussmix, "_HERMITE_RADIUS", radius)
+        monkeypatch.setattr(isirate.gaussmix, "_HERMITE_ORDER", order)
+        res = i_mmse_exact(d, x)
+        assert res.kernel_routes == ("hermite", "hermite")
+        assert abs(res.value - ref.value) <= ref.err_bound
+
+    def test_kernel_route_recorded_per_entropy(self):
+        x = make_trinary(0.01)
+        d = design_mmse_dfe(channel_b(), x, 10**-1.4)
+        res = i_mmse_exact(d, x)
+        assert res.kernel_routes == ("hermite", "hermite")
+        sigma = math.sqrt(d.noise_var)
+        taps0 = np.concatenate(([1.0], d.residual))
+        for taps, n, coefficients in zip((taps0, d.residual), res.n_components, res.kernel_coefficients):
+            means, _, _ = _enumerate_mixture(
+                taps, np.asarray(x.atoms), np.asarray(x.probs), isirate.bounds._BUDGET,
+                0.5 * isirate.bounds._PRUNE_MASS,
+            )
+            route = isirate.gaussmix.kernel_route(n, means[-1] - means[0], sigma)
+            assert coefficients == route.coefficients < n
+        flat = i_mmse_exact(design_mmse_dfe(ChannelResponse((1.0,)), bpsk(), 2.0), bpsk())
+        assert flat.kernel_routes == ("tiles", "tiles")
+        assert flat.kernel_coefficients == flat.n_components == (2, 1)
+
     def test_reference_sign_skewed_low_snr(self):
         # in the low-SNR regime I_MMSE falls below I_SL for skewed input
         x = make_skewed_binary(0.002)

@@ -1,12 +1,18 @@
 """Trellis forward recursion and the achievable-rate estimator."""
 
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import isirate
 import isirate.montecarlo
 from isirate.channel import ChannelResponse, channel_b, jeong, spectral_summary
 from isirate.errors import BudgetExceeded, DomainError
@@ -240,15 +246,38 @@ class TestStreams:
             assert three.notes["per_seed"][:2] == two.notes["per_seed"]
 
     def test_memory_bounded_independent_of_n(self):
-        # the (n_seeds, n) output buffer alone would take 128 MB
-        tracemalloc.start()
-        try:
-            est = estimate_rate(channel_b(), make_trinary(0.01), 1.0, 2_000_000, 8, seed=6)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2**20
-        assert 0.0 < est.value < make_trinary(0.01).entropy
+        # the (n_seeds, n) output buffer alone would take 128 MB. A child
+        # process reads its peak resident set after a warm-up call, after
+        # 2e5 symbols per seed and after 2e6: neither the growth between
+        # the two lengths nor the peak above the warm baseline reaches 4 MB
+        code = textwrap.dedent(
+            """
+            import json, resource
+            from isirate.channel import channel_b
+            from isirate.rate_sim import estimate_rate
+            from isirate.scalar import make_trinary
+
+            def rss():
+                return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+
+            x = make_trinary(0.01)
+            estimate_rate(channel_b(), x, 1.0, 20_000, 8, seed=6)
+            warm = rss()
+            estimate_rate(channel_b(), x, 1.0, 200_000, 8, seed=6)
+            short = rss()
+            est = estimate_rate(channel_b(), x, 1.0, 2_000_000, 8, seed=6)
+            print(json.dumps([warm, short, rss(), est.value]))
+            """
+        )
+        src = os.path.dirname(os.path.dirname(isirate.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        warm, short, long_, value = json.loads(run.stdout)
+        assert long_ - short < 4 * 2**20
+        assert long_ - warm < 4 * 2**20
+        assert 0.0 < value < make_trinary(0.01).entropy
 
 
 class TestEstimateRate:

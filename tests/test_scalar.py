@@ -13,8 +13,11 @@ from isirate.errors import DomainError, NonConvergent
 import isirate.gaussmix
 from isirate.bounds import _BUDGET, _PRUNE_MASS, _enumerate_mixture
 from isirate.gaussmix import (
+    _HERMITE_TRUNCATION,
+    _hermite_evaluator,
     _mixture_evaluator,
     _refine,
+    kernel_route,
     mixture_conditional_second_moment,
     mixture_entropy,
 )
@@ -397,6 +400,161 @@ class TestMixtureKernel:
         nodes = np.arange(means[0] - 10.0 * sigma, means[-1] + 10.0 * sigma, 0.5 * sigma)
         values = np.random.default_rng(3).standard_normal(means.size)
         _assert_kernel_matches_dense(nodes, means, weights, sigma, values)
+
+
+def _assert_hermite_matches_dense(nodes, means, weights, sigma, values):
+    """The Hermite expansion against the one-shot oracle, under the error
+    model of rounding in exp: a value near exp(-E) times the kernel peak
+    is off by about E eps relative. So |p - p_ref| <= 16 eps (1 + E) p_ref
+    with E = log(peak / p_ref), wherever p_ref > 1e-300, and num within the
+    same multiple of sum_j |v_j| w_j N(y; c_j, s^2)."""
+    eps = np.finfo(float).eps
+    peak = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
+    for coeff in (None, values):
+        p, num = _hermite_evaluator(means, weights, sigma, coeff)(nodes)
+        p_ref, num_ref = mixture_eval_dense(nodes, means, weights, sigma, coeff)
+        live = p_ref > 1e-300
+        assert live.any()
+        tol = 16.0 * eps * (1.0 + np.log(peak / p_ref[live]))
+        assert np.all(np.abs(p - p_ref)[live] <= tol * p_ref[live])
+        if coeff is None:
+            assert num is None
+        else:
+            scale, _ = mixture_eval_dense(nodes, means, np.abs(values) * weights, sigma)
+            assert np.all(np.abs(num - num_ref)[live] <= tol * scale[live])
+
+
+class TestHermiteKernel:
+    """The Hermite expansion of the kernel sums against one kernel matrix
+    per node block, on nodes within 10 sigma of the means as on the
+    integration grid. Further out the oracle's window of 14 sigma from a
+    node block's ends can skip components that hold 1e-10 of a far-tail
+    density, and the expansion's, reaching half a box further, fewer."""
+
+    @pytest.mark.parametrize(
+        "n_comp, spread, sigma, n_nodes",
+        [(5000, 3.0, 0.5, 1100), (20000, 40.0, 1.3, 1100), (20000, 5.0, 1.0, 600), (2**17, 5.0, 1.0, 300)],
+    )
+    def test_random_mixtures(self, n_comp, spread, sigma, n_nodes):
+        rng = np.random.default_rng(n_comp + int(10 * spread))
+        means, weights, values = _random_mixture(rng, n_comp, spread)
+        nodes = np.sort(rng.uniform(means[0] - 10.0 * sigma, means[-1] + 10.0 * sigma, n_nodes))
+        _assert_hermite_matches_dense(nodes, means, weights, sigma, values)
+
+    def test_clusters_outside_the_window(self):
+        # three clusters 300 sigma apart: every node block skips the far
+        # boxes, and nodes between the clusters see none
+        rng = np.random.default_rng(12)
+        means = np.sort(
+            np.concatenate([c + rng.uniform(-3.0, 3.0, 4000) for c in (-300.0, 0.0, 300.0)])
+        )
+        weights = rng.uniform(0.1, 1.0, means.size)
+        nodes = np.linspace(-320.0, 320.0, 1100)
+        _assert_hermite_matches_dense(
+            nodes, means, weights / weights.sum(), 1.0, rng.standard_normal(means.size)
+        )
+
+    def test_one_node(self):
+        rng = np.random.default_rng(8)
+        means, weights, values = _random_mixture(rng, 2**16 + 1, 5.0)
+        _assert_hermite_matches_dense(np.array([0.3]), means, weights, 1.0, values)
+
+    def test_channel_b_trinary_mixture(self):
+        # the 52905 components of h(x_0 + mu_1 + m) at -14 dB on the first
+        # two levels of the integration grid
+        x = make_trinary(0.01)
+        d = design_mmse_dfe(channel_b(), x, 10**-1.4)
+        taps0 = np.concatenate(([1.0], d.residual))
+        means, weights, _ = _enumerate_mixture(
+            taps0, np.asarray(x.atoms), np.asarray(x.probs), _BUDGET, 0.5 * _PRUNE_MASS
+        )
+        assert means.size == 52905
+        sigma = math.sqrt(d.noise_var)
+        assert kernel_route(means.size, means[-1] - means[0], sigma).route == "hermite"
+        nodes = np.arange(means[0] - 10.0 * sigma, means[-1] + 10.0 * sigma, 0.25 * sigma)
+        values = np.random.default_rng(4).standard_normal(means.size)
+        _assert_hermite_matches_dense(nodes, means, weights, sigma, values)
+
+    @pytest.mark.parametrize("radius, order", [(0.2, 6), (0.35, 4), (0.1, 8)])
+    def test_truncation_within_its_bound(self, monkeypatch, radius, order):
+        # wider boxes and fewer terms make the truncation visible: it stays
+        # within the bound per unit mass times the kernel peak
+        monkeypatch.setattr(isirate.gaussmix, "_HERMITE_RADIUS", radius)
+        monkeypatch.setattr(isirate.gaussmix, "_HERMITE_ORDER", order)
+        r2 = math.sqrt(2.0) * radius
+        bound = 1.09 * r2**order / math.sqrt(math.factorial(order)) / (1.0 - r2 / math.sqrt(order + 1.0))
+        rng = np.random.default_rng(9)
+        means, weights, _ = _random_mixture(rng, 20000, 4.0)
+        nodes = np.linspace(means[0] - 10.0, means[-1] + 10.0, 777)
+        p, _ = _hermite_evaluator(means, weights, 1.0)(nodes)
+        p_ref, _ = mixture_eval_dense(nodes, means, weights, 1.0)
+        err = np.abs(p - p_ref).max() * math.sqrt(2.0 * math.pi)
+        assert 1e3 * np.finfo(float).eps < err <= bound
+
+    def test_truncation_bound_of_the_defaults(self):
+        # r = 0.025, p = 16: far below the round-off of any kernel sum
+        r2 = math.sqrt(2.0) * 0.025
+        assert _HERMITE_TRUNCATION == pytest.approx(
+            1.09 * r2**16 / math.sqrt(math.factorial(16)) / (1.0 - r2 / math.sqrt(17.0)), rel=1e-15
+        )
+        assert _HERMITE_TRUNCATION < 1e-29
+
+
+class TestKernelRoute:
+    """The expansion is taken only where the components outnumber its
+    coefficients, so the mixtures of I_x and mmse_x stay on the tiles."""
+
+    def test_rule_is_a_count(self):
+        # boxes of width 0.05 sqrt(2) sigma: a span of 1 sigma covers 15 boxes
+        assert kernel_route(16 * 15, 1.0, 1.0) == ("tiles", 240, 0.0)
+        route = kernel_route(16 * 15 + 1, 1.0, 1.0)
+        assert route.route == "hermite" and route.coefficients == 16 * 15
+        assert 0.0 < route.entropy_truncation < 1e-25
+        assert kernel_route(4, 0.0, 1.0).route == "tiles"
+        assert kernel_route(17, 0.0, 1.0).route == "hermite"
+
+    def test_scalar_integrals_equal_a_tiles_only_run(self, monkeypatch):
+        xs = list(PRESETS.values()) + [
+            InputDistribution((-2.0, -1.0, 1.0, 3.0), (0.2, 0.3, 0.4, 0.1))
+        ]
+        gammas = [1e-6, 1e-3, 0.1, 1.0, 10.0, 1e3, 1e7]
+        got = [(mutual_info(x, g), mmse(x, g)) for x in xs for g in gammas]
+        monkeypatch.setattr(isirate.gaussmix, "_hermite_evaluator", None)
+        monkeypatch.setattr(isirate.gaussmix, "_HERMITE_ORDER", 2**62)
+        assert [(mutual_info(x, g), mmse(x, g)) for x in xs for g in gammas] == got
+
+
+class TestMixtureInputs:
+    """Malformed mixtures are refused before any quadrature runs."""
+
+    GOOD = (np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_sigma(self, sigma):
+        with pytest.raises(DomainError, match="sigma"):
+            mixture_entropy(*self.GOOD, sigma)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -1.0])
+    def test_gamma(self, gamma):
+        with pytest.raises(DomainError, match="gamma"):
+            mixture_conditional_second_moment(*self.GOOD, gamma)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("which", ["means", "weights"])
+    def test_non_finite_entries(self, bad, which):
+        means, weights = (a.copy() for a in self.GOOD)
+        (means if which == "means" else weights)[1] = bad
+        with pytest.raises(DomainError, match=which):
+            mixture_entropy(means, weights, 1.0)
+        with pytest.raises(DomainError, match=which):
+            mixture_conditional_second_moment(means, weights, 1.0)
+
+    @pytest.mark.parametrize("means, weights", [([], []), ([0.0, 1.0], [1.0])])
+    def test_empty_or_unmatched(self, means, weights):
+        with pytest.raises(DomainError, match="one weight per mean"):
+            mixture_entropy(means, weights, 1.0)
+        with pytest.raises(DomainError, match="one weight per mean"):
+            mixture_conditional_second_moment(means, weights, 1.0)
 
 
 class TestSortedMixture:
