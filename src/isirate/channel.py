@@ -74,9 +74,8 @@ class ChannelResponse:
         return ChannelResponse(tuple(np.asarray(self.taps) / np.sqrt(self.energy())))
 
     @staticmethod
-    def from_json(text: str, normalize: bool = False) -> "ChannelResponse":
-        ch = ChannelResponse(tuple(json.loads(text)))
-        return ch.normalized if normalize else ch
+    def from_json(text: str) -> "ChannelResponse":
+        return ChannelResponse(tuple(json.loads(text)))
 
     @cached_property
     def lead(self) -> float:

@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
-from .bounds import BoundReport, bound_report
+from .bounds import bound_report
 from .channel import CHANNEL_PRESETS, ChannelResponse, spectral_summary
 from .equalizer import design_mmse_dfe
 from .errors import DomainError, IsirateError
@@ -44,15 +44,17 @@ def _fmt(x) -> str:
 
 
 def parse_channel(spec: str, normalize: bool = False) -> ChannelResponse:
+    """A preset name, JSON taps or a JSON file, rescaled to unit energy
+    when normalize is set."""
     if spec in CHANNEL_PRESETS:
         ch = CHANNEL_PRESETS[spec]()
-        return ch.normalized if normalize else ch
-    if spec.lstrip().startswith("["):
-        return ChannelResponse.from_json(spec, normalize)
-    path = Path(spec)
-    if not path.exists():
+    elif spec.lstrip().startswith("["):
+        ch = ChannelResponse.from_json(spec)
+    elif Path(spec).exists():
+        ch = ChannelResponse.from_json(Path(spec).read_text())
+    else:
         raise DomainError(f"unknown channel spec {spec!r}")
-    return ChannelResponse.from_json(path.read_text(), normalize)
+    return ch.normalized if normalize else ch
 
 
 def parse_input(spec: str) -> InputDistribution:
@@ -116,10 +118,6 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    path.write_text(_csv_text(header, rows))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -161,76 +159,64 @@ def cmd_dfe(args) -> int:
     }
     print(json.dumps(out, indent=2))
     if args.taps:
-        _write_csv(
-            Path(args.taps),
-            ["k", "alpha"],
-            [[k + 1, float(a)] for k, a in enumerate(design.residual)],
-        )
+        rows = [[k + 1, float(a)] for k, a in enumerate(design.residual)]
+        Path(args.taps).write_text(_csv_text(["k", "alpha"], rows))
     return 0
 
 
-_BOUND_COLUMNS = [
-    "snr_db",
+# BoundReport fields in column order; each rate, in nats, is written in
+# bits as <field>_bits
+_BOUND_FIELDS = (
     "rho",
-    "gaussian_rate_bits",
-    "i_sow_bits",
-    "i_sl_bits",
-    "ie_simple_bits",
-    "ie_opt_bits",
+    "gaussian_rate",
+    "i_sow",
+    "i_sl",
+    "ie_simple",
+    "ie_opt",
     "gamma1_opt",
     "gamma2_opt",
-    "ie_conj_bits",  # conjectured bound, not proven
-    "i_mmse_bits",
+    "ie_conj",  # conjectured bound, not proven
+    "i_mmse",
     "i_mmse_method",
-    "i_mmse_std_error_bits",
-    "i_mmse_err_bound_bits",
-    "gap_series_bits",
-]
+    "i_mmse_std_error",
+    "i_mmse_err_bound",
+    "gap_series",
+    "eps0",
+)
+_UNITLESS = ("rho", "gamma1_opt", "gamma2_opt", "i_mmse_method", "eps0")
+_BOUND_COLUMNS = ["snr_db"] + [f if f in _UNITLESS else f"{f}_bits" for f in _BOUND_FIELDS]
 
 
-def _bound_row(snr_db: float, rep: BoundReport) -> list:
-    return [
-        snr_db,
-        rep.rho,
-        _bits(rep.gaussian_rate),
-        _bits(rep.i_sow),
-        _bits(rep.i_sl),
-        _bits(rep.ie_simple),
-        _bits(rep.ie_opt),
-        rep.gamma1_opt,
-        rep.gamma2_opt,
-        _bits(rep.ie_conj),
-        _bits(rep.i_mmse),
-        rep.i_mmse_method or "",
-        _bits(rep.i_mmse_std_error),
-        _bits(rep.i_mmse_err_bound),
-        _bits(rep.gap_series),
-    ]
+def _sweep(ch, x, grid, i_mmse, n_samples, seed, rate=None) -> str:
+    """CSV text of one bound_report row per dB point of grid, gap series
+    included; with rate = (n_symbols, n_seeds) each row also carries the
+    estimate_rate value and its standard error."""
+    rhos = [_rho(db) for db in grid]  # every point checked before the sweep
+
+    def point(i: int) -> list:
+        rep = bound_report(
+            ch, x, rhos[i], i_mmse, n_samples=n_samples, seed=seed, include_gap_series=True
+        )
+        row = [grid[i]] + [
+            getattr(rep, f) if f in _UNITLESS else _bits(getattr(rep, f)) for f in _BOUND_FIELDS
+        ]
+        if rate:
+            est = estimate_rate(ch, x, rhos[i], *rate, seed)
+            row += [_bits(est.value), _bits(est.std_error)]
+        return row
+
+    header = _BOUND_COLUMNS + (["rate_bits", "rate_stderr_bits"] if rate else [])
+    return _csv_text(header, _pool_map(point, range(len(grid))))
 
 
 def cmd_bounds(args) -> int:
     ch = parse_channel(args.channel, args.normalize)
     x = parse_input(args.input)
-    grid = parse_snr_grid(args.snr_db)
-    rhos = [_rho(db) for db in grid]  # every point checked before the sweep
-
-    def point(i: int) -> list:
-        rep = bound_report(
-            ch,
-            x,
-            rhos[i],
-            i_mmse_method=args.i_mmse,
-            n_samples=args.n_samples,
-            seed=args.seed,
-            include_gap_series=args.gap_series,
-        )
-        return _bound_row(grid[i], rep)
-
-    rows = _pool_map(point, range(len(grid)))
+    text = _sweep(ch, x, parse_snr_grid(args.snr_db), args.i_mmse, args.n_samples, args.seed)
     if args.out:
-        _write_csv(Path(args.out), _BOUND_COLUMNS, rows)
+        Path(args.out).write_text(text)
     else:
-        sys.stdout.write(_csv_text(_BOUND_COLUMNS, rows))
+        sys.stdout.write(text)
     return 0
 
 
@@ -246,11 +232,8 @@ def cmd_simulate(args) -> int:
     }
     print(json.dumps(out, indent=2))
     if args.per_seed:
-        _write_csv(
-            Path(args.per_seed),
-            ["stream", "rate_bits"],
-            [[i, _bits(r)] for i, r in enumerate(est.notes["per_seed"])],
-        )
+        rows = [[i, _bits(r)] for i, r in enumerate(est.notes["per_seed"])]
+        Path(args.per_seed).write_text(_csv_text(["stream", "rate_bits"], rows))
     return 0
 
 
@@ -298,130 +281,52 @@ def cmd_highsnr_probe(args) -> int:
 # ---------------------------------------------------------------------------
 # figure reproduction
 
-
-def _figure_gap(channel_spec, input_spec, snr_grid_db, out_dir, name, seed):
-    ch = parse_channel(channel_spec)
-    x = parse_input(input_spec)
-
-    def point(snr_db):
-        rho = _rho(snr_db)
-        design = design_mmse_dfe(ch, x, rho)
-        rep = bound_report(
-            ch, x, rho, i_mmse_method="exact", include_gap_series=True,
-            seed=seed, design=design,
-        )
-        return [snr_db, design.eps0, _bits(rep.i_mmse - rep.i_sl), _bits(rep.gap_series)]
-
-    rows = _pool_map(point, snr_grid_db)
-    _write_csv(out_dir / f"{name}.csv", ["snr_db", "eps0", "gap_exact_bits", "gap_series_bits"], rows)
-    return {"snr_grid_db": list(snr_grid_db)}
-
-
-def _figure_rate(channel_spec, input_spec, snr_grid_db, out_dir, name, seed, n_symbols, n_seeds, i_mmse_method, n_samples):
-    ch = parse_channel(channel_spec)
-    x = parse_input(input_spec)
-
-    def point(snr_db):
-        rho = _rho(snr_db)
-        rep = bound_report(
-            ch, x, rho, i_mmse_method=i_mmse_method, n_samples=n_samples, seed=seed
-        )
-        est = estimate_rate(ch, x, rho, n_symbols, n_seeds, seed)
-        return [
-            snr_db,
-            _bits(est.value),
-            _bits(est.std_error),
-            _bits(rep.i_sl),
-            _bits(rep.i_mmse),
-            _bits(rep.i_mmse_std_error) or 0.0,
-            _bits(rep.i_sow),
-        ]
-
-    rows = _pool_map(point, snr_grid_db)
-    _write_csv(
-        out_dir / f"{name}.csv",
-        ["snr_db", "rate_bits", "rate_stderr_bits", "i_sl_bits", "i_mmse_bits", "i_mmse_stderr_bits", "i_sow_bits"],
-        rows,
-    )
-    return {
-        "snr_grid_db": list(snr_grid_db),
-        "n_symbols": n_symbols,
-        "n_seeds": n_seeds,
-        "n_samples": n_samples,
-        "i_mmse_method": i_mmse_method,
-    }
-
-
-def _figure_bounds(channel_spec, input_spec, snr_grid_db, out_dir, name, seed, n_samples):
-    ch = parse_channel(channel_spec)
-    x = parse_input(input_spec)
-
-    def point(snr_db):
-        rep = bound_report(
-            ch, x, _rho(snr_db), i_mmse_method="mc", n_samples=n_samples, seed=seed
-        )
-        return [
-            snr_db,
-            _bits(rep.i_mmse),
-            _bits(rep.i_mmse_std_error),
-            _bits(rep.i_sl),
-            _bits(rep.i_sow),
-            _bits(rep.ie_opt),
-            _bits(rep.ie_simple),
-        ]
-
-    rows = _pool_map(point, snr_grid_db)
-    _write_csv(
-        out_dir / f"{name}.csv",
-        ["snr_db", "i_mmse_mc_bits", "i_mmse_stderr_bits", "i_sl_bits", "i_sow_bits", "ie_opt_bits", "ie_simple_bits"],
-        rows,
-    )
-    return {"snr_grid_db": list(snr_grid_db), "n_samples": n_samples}
-
-
-def _grid(start, stop, step):
-    n = int(round((stop - start) / step)) + 1
-    return [start + i * step for i in range(n)]
+# name -> (channel, input, SNR grid in dB, I_MMSE route, simulated). Each
+# figure is the bounds sweep of its row, plus the simulated rate for
+# fig2a/fig2b. The fig2 grids cover the rise of the rate curves; beyond
+# them everything saturates at the input entropy. The trinary mixture
+# outgrows exact enumeration on most of its grid; the skewed one fits on
+# every point.
+_FIGURES = {
+    "fig1a": ("channel_b", "trinary(0.01)", "-28:-18:2", "exact", False),
+    "fig1b": ("channel_b", "skewed_binary(0.002)", "-28:-18:2", "exact", False),
+    "fig2a": ("channel_b", "trinary(0.01)", "-15:2.5:2.5", "mc", True),
+    "fig2b": ("channel_b", "skewed_binary(0.002)", "-20:-7.5:2.5", "exact", True),
+    "fig3": ("jeong", "bpsk", "-12:15:3", "mc", False),
+    "fig4": ("jeong_spaced", "bpsk", "-12:15:3", "mc", False),
+}
 
 
 def cmd_figure(args) -> int:
+    name = args.name
+    if name not in _FIGURES:
+        raise DomainError(f"unknown figure {name!r}")
+    channel, inp, grid, route, simulated = _FIGURES[name]
+    rate = None
+    if simulated:
+        rate = (5 * 10**8, 20) if args.full else (10**7, 10)
+    n_symbols, n_seeds = rate or (None, None)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    name = args.name
-    seed = args.seed
-    t0 = time.time()
-    if name == "fig1a":
-        extra = _figure_gap("channel_b", "trinary(0.01)", _grid(-28.0, -18.0, 2.0), out_dir, name, seed)
-    elif name == "fig1b":
-        extra = _figure_gap("channel_b", "skewed_binary(0.002)", _grid(-28.0, -18.0, 2.0), out_dir, name, seed)
-    elif name in ("fig2a", "fig2b"):
-        # grids cover the rise of the rate curves for each input; beyond
-        # them everything saturates at the input entropy. The trinary
-        # mixture outgrows exact enumeration on most of its grid; the
-        # skewed one fits on every point.
-        if name == "fig2a":
-            inp, grid, method = "trinary(0.01)", _grid(-15.0, 2.5, 2.5), "mc"
-        else:
-            inp, grid, method = "skewed_binary(0.002)", _grid(-20.0, -7.5, 2.5), "exact"
-        n_symbols = 5 * 10**8 if args.full else 10**7
-        n_seeds = 20 if args.full else 10
-        extra = _figure_rate(
-            "channel_b", inp, grid, out_dir, name, seed, n_symbols, n_seeds, method, args.n_samples
-        )
-    elif name == "fig3":
-        extra = _figure_bounds("jeong", "bpsk", _grid(-12.0, 15.0, 3.0), out_dir, name, seed, args.n_samples)
-    elif name == "fig4":
-        extra = _figure_bounds("jeong_spaced", "bpsk", _grid(-12.0, 15.0, 3.0), out_dir, name, seed, args.n_samples)
-    else:
-        raise DomainError(f"unknown figure {name!r}")
+    t0 = time.perf_counter()
+    ch, x = parse_channel(channel), parse_input(inp)
+    text = _sweep(ch, x, parse_snr_grid(grid), route, args.n_samples, args.seed, rate)
+    (out_dir / f"{name}.csv").write_text(text)
+    # the bounds options that rerun the sweep, then the simulation profile,
+    # which --full sets for the simulated figures only
     manifest = {
         "figure": name,
-        "seed": seed,
-        "full_profile": bool(args.full),
+        "channel": channel,
+        "input": inp,
+        "snr_db": grid,
+        "i_mmse_method": route,
+        "n_samples": args.n_samples,
+        "seed": args.seed,
+        "n_symbols": n_symbols,
+        "n_seeds": n_seeds,
         "threads": _n_threads(),
-        "runtime_s": time.time() - t0,
+        "runtime_s": time.perf_counter() - t0,
         "version": __version__,
-        **extra,
     }
     (out_dir / f"{name}.manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     print(f"wrote {out_dir / name}.csv")
@@ -478,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--n-samples", type=int, default=100_000)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--gap-series", action="store_true")
     sp.add_argument("--out", default=None, help="CSV path (default: stdout)")
     sp.set_defaults(func=cmd_bounds)
 
@@ -514,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out-dir", default="figures")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--n-samples", type=int, default=200_000)
-    sp.add_argument("--full", action="store_true", help="paper-scale Monte-Carlo profile")
+    sp.add_argument("--full", action="store_true", help="paper-scale rate simulation (fig2a/fig2b)")
     sp.set_defaults(func=cmd_figure)
 
     return p

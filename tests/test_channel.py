@@ -180,8 +180,9 @@ class TestChannelResponse:
         assert jeong_spaced().energy() == pytest.approx(jeong().energy(), abs=1e-15)
 
     def test_from_json(self):
-        ch = ChannelResponse.from_json("[0.6, 0.8]", normalize=True)
-        assert ch.energy() == pytest.approx(1.0, abs=1e-15)
+        ch = ChannelResponse.from_json("[3, 4]")
+        assert ch.taps == (3.0, 4.0)
+        assert ch.normalized.energy() == pytest.approx(1.0, abs=1e-15)
 
 
 class TestChannelContext:

@@ -5,8 +5,10 @@ import math
 
 import pytest
 
+import isirate.bounds
 import isirate.cli
 import isirate.highsnr
+from isirate.bounds import ImmseExact
 from isirate.channel import ChannelResponse
 from isirate.cli import main, parse_channel, parse_snr_grid
 from isirate.errors import DomainError
@@ -16,6 +18,33 @@ from isirate.scalar import mutual_info, parse_input_spec
 from isirate.channel import spectral_summary
 
 LOG2 = math.log(2.0)
+BOUND_HEADER = (
+    "snr_db,rho,gaussian_rate_bits,i_sow_bits,i_sl_bits,ie_simple_bits,ie_opt_bits,"
+    "gamma1_opt,gamma2_opt,ie_conj_bits,i_mmse_bits,i_mmse_method,i_mmse_std_error_bits,"
+    "i_mmse_err_bound_bits,gap_series_bits,eps0"
+)
+
+
+def _column(lines: list[str], name: str) -> list[str]:
+    """The cells of column name in the data rows of a CSV's lines."""
+    k = lines[0].split(",").index(name)
+    return [line.split(",")[k] for line in lines[1:]]
+
+
+def _rerun_as_bounds(manifest: dict, out) -> int:
+    """isirate bounds with the options a figure manifest records."""
+    return main(
+        [
+            "bounds",
+            "--channel", manifest["channel"],
+            "--input", manifest["input"],
+            f"--snr-db={manifest['snr_db']}",
+            "--i-mmse", manifest["i_mmse_method"],
+            "--n-samples", str(manifest["n_samples"]),
+            "--seed", str(manifest["seed"]),
+            "--out", str(out),
+        ]
+    )
 
 
 class TestParsing:
@@ -151,6 +180,18 @@ class TestSubcommands:
             assert a.read_bytes() == b.read_bytes()
             assert a.read_bytes() == c.read_bytes()
 
+    def test_bounds_exact_rows_have_no_std_error(self, tmp_path):
+        # an exact value is not a sampled estimate: its standard-error
+        # cell is empty, never 0
+        out = tmp_path / "bounds.csv"
+        args = ["bounds", "--channel", "[0.8, 0.6]", "--input", "skewed_binary(0.1)"]
+        assert main(args + ["--snr-db=-10:0:10", "--i-mmse", "exact", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == BOUND_HEADER
+        assert _column(lines, "i_mmse_method") == ["exact", "exact"]
+        assert _column(lines, "i_mmse_std_error_bits") == ["", ""]
+        assert all(float(v) > 0.0 for v in _column(lines, "i_mmse_err_bound_bits"))
+
     def test_bounds_stdout_negative_grid(self, capsys):
         code = main(
             ["bounds", "--channel", "channel_b", "--input", "bpsk", "--snr-db=-10:0:10", "--i-mmse", "none"]
@@ -280,13 +321,17 @@ class TestSubcommands:
         code = main(["figure", "fig1b", "--out-dir", str(tmp_path)])
         assert code == 0
         csv = (tmp_path / "fig1b.csv").read_text().strip().splitlines()
-        assert csv[0] == "snr_db,eps0,gap_exact_bits,gap_series_bits"
+        assert csv[0] == BOUND_HEADER
         assert len(csv) == 7
         manifest = json.loads((tmp_path / "fig1b.manifest.json").read_text())
         assert manifest["figure"] == "fig1b"
         # every gap on this low-SNR grid is negative
-        gaps = [float(r.split(",")[2]) for r in csv[1:]]
-        assert all(g < 0 for g in gaps)
+        i_mmse, i_sl = (map(float, _column(csv, c)) for c in ("i_mmse_bits", "i_sl_bits"))
+        assert all(a - b < 0 for a, b in zip(i_mmse, i_sl))
+        # the figure is the bounds sweep its manifest names, byte for byte
+        out = tmp_path / "bounds.csv"
+        assert _rerun_as_bounds(manifest, out) == 0
+        assert out.read_bytes() == (tmp_path / "fig1b.csv").read_bytes()
 
     @pytest.mark.parametrize("name,method", [("fig2a", "mc"), ("fig2b", "exact")])
     def test_figure_fig2_route(self, name, method, tmp_path, monkeypatch, capsys):
@@ -308,6 +353,40 @@ class TestSubcommands:
         assert routes and set(routes) == {method}
         manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
         assert manifest["i_mmse_method"] == method
+
+    @pytest.mark.parametrize("name", ["fig1a", "fig1b", "fig2a", "fig2b", "fig3", "fig4"])
+    def test_figure_is_its_bounds_sweep(self, name, tmp_path, monkeypatch, capsys):
+        # both I_MMSE routes and the simulation are stubbed, only the wiring
+        # is under test: each figure is the bounds sweep of its manifest,
+        # plus the two rate columns where it simulates
+        def fake_exact(design, x):
+            return ImmseExact(0.1, 1e-13, (1, 1), 0.0, ("tiles", "tiles"), (1, 1))
+
+        def fake_mc(design, x, n_samples, seed):
+            return RateEstimate(0.1, 1e-3, n_samples, 8, ((seed, 0),), {"density_audit_err": 1e-7})
+
+        def fake_rate(*args):
+            return RateEstimate(value=0.2, std_error=1e-4, n_samples=1, n_seeds=1, seeds=((0, 0),))
+
+        monkeypatch.setattr(isirate.bounds, "i_mmse_exact", fake_exact)
+        monkeypatch.setattr(isirate.bounds, "i_mmse_mc", fake_mc)
+        monkeypatch.setattr(isirate.cli, "estimate_rate", fake_rate)
+        assert main(["figure", name, "--out-dir", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+        out = tmp_path / "bounds.csv"
+        assert _rerun_as_bounds(manifest, out) == 0
+        bounds = out.read_text().splitlines()
+        figure = (tmp_path / f"{name}.csv").read_text().splitlines()
+        simulated = name in ("fig2a", "fig2b")
+        assert manifest["n_symbols"] == (10**7 if simulated else None)
+        assert manifest["n_seeds"] == (10 if simulated else None)
+        rate = ",rate_bits,rate_stderr_bits" if simulated else ""
+        assert figure[0] == BOUND_HEADER + rate
+        n = len(bounds[0].split(","))
+        assert [",".join(line.split(",")[:n]) for line in figure] == bounds
+        exact = manifest["i_mmse_method"] == "exact"
+        std_error = _column(figure, "i_mmse_std_error_bits")
+        assert std_error == ["" if exact else format(1e-3 / LOG2, ".17g")] * len(std_error)
 
     def test_exit_code_config_error(self, capsys):
         assert main(["analyze", "--channel", "[0, 0]", "--snr-db", "0"]) == 2
