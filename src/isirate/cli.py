@@ -284,9 +284,9 @@ def cmd_highsnr_probe(args) -> int:
 # name -> (channel, input, SNR grid in dB, I_MMSE route, simulated). Each
 # figure is the bounds sweep of its row, plus the simulated rate for
 # fig2a/fig2b. The fig2 grids cover the rise of the rate curves; beyond
-# them everything saturates at the input entropy. The trinary mixture
-# outgrows exact enumeration on most of its grid; the skewed one fits on
-# every point.
+# them everything saturates at the input entropy. fig2a, fig3 and fig4
+# take the Monte Carlo route, though the exact route reaches their grids
+# as well.
 _FIGURES = {
     "fig1a": ("channel_b", "trinary(0.01)", "-28:-18:2", "exact", False),
     "fig1b": ("channel_b", "skewed_binary(0.002)", "-28:-18:2", "exact", False),
@@ -379,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--i-mmse",
         required=True,
         choices=["exact", "mc", "none"],
-        help="I_MMSE route; exact exits 3 when the mixture outgrows its budget",
+        help="I_MMSE route; exact exits 3 when its density grid outgrows its budget",
     )
     sp.add_argument("--n-samples", type=int, default=100_000)
     sp.add_argument("--seed", type=int, default=0)

@@ -18,8 +18,8 @@ class RootFindingFailure(IsirateError):
 
 
 class BudgetExceeded(IsirateError):
-    """An exact mixture enumeration, a DFE impulse response or a trellis
-    state space would exceed its size budget."""
+    """An FFT density grid, a DFE impulse response or a trellis state space
+    would exceed its size budget."""
 
 
 class InconclusiveSearch(IsirateError):

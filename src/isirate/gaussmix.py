@@ -25,7 +25,9 @@ can reach 1e-10 of it.
 The kernel sums p(y) and num(y) at the nodes take one of two routes, a
 count chosen by ``kernel_route``: the Hermite expansion when the mixture
 has more components than the expansion has coefficients, and tiles
-otherwise. Every mixture of I_x and mmse_x (2-4 atoms) is on the tiles.
+otherwise. Every mixture of I_x and mmse_x (2-4 atoms) is on the tiles;
+the expansion serves the block mixtures of the genie bound
+(bounds.genie_mmse_lower), of up to |A|^k components for a block of k taps.
 
 Tiles evaluate the Gaussian kernel in (nodes x components) tiles of at
 most ``_EVAL_BUDGET`` elements, filled in place in one pair of work buffers
@@ -56,7 +58,6 @@ against one kernel matrix per node block: 16 eps (1 + log(peak / p)) p.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -77,12 +78,6 @@ _EVAL_BUDGET = 2**16
 _HERMITE_RADIUS = 0.025
 _HERMITE_ORDER = 16
 _MOMENT_BLOCK = 2**15
-_HERMITE_TRUNCATION = (
-    1.09
-    * (math.sqrt(2.0) * _HERMITE_RADIUS) ** _HERMITE_ORDER
-    / math.sqrt(math.factorial(_HERMITE_ORDER))
-    / (1.0 - math.sqrt(2.0) * _HERMITE_RADIUS / math.sqrt(_HERMITE_ORDER + 1.0))
-)
 
 # Mixture integrals: trapezoid steps sigma/2, sigma/4, ..., sigma/1024,
 # agreement to 1e-12 relative or to the absolute floor of each integrand.
@@ -165,13 +160,13 @@ def _hermite_evaluator(
     exp(-(t - d)^2) = exp(-t^2) sum_n H_n(t) d^n / n!, a node y sees the
     box as exp(-t^2) sum_n A_n H_n(t), t = (y - b)/h, with H_n from the
     three-term recurrence. By Cramer's inequality the terms n >= p sum to
-    at most _HERMITE_TRUNCATION per unit of box mass, relative to the
-    kernel's peak. The moments are accumulated over blocks of
-    _MOMENT_BLOCK components, so nothing is allocated over the span or
-    the whole mixture but the (at most N) boxes; ``evaluate`` works in
-    (nodes x boxes) tiles of _EVAL_BUDGET / 2 elements and skips boxes
-    whose centre lies further than _WINDOW_SIGMAS sigma (plus half a box)
-    from a node block.
+    at most 1.4e-30 per unit of box mass, relative to the kernel's peak
+    (the bound is given where _HERMITE_RADIUS is set). The moments are
+    accumulated over blocks of _MOMENT_BLOCK components, so nothing is
+    allocated over the span or the whole mixture but the (at most N)
+    boxes; ``evaluate`` works in (nodes x boxes) tiles of _EVAL_BUDGET / 2
+    elements and skips boxes whose centre lies further than
+    _WINDOW_SIGMAS sigma (plus half a box) from a node block.
     """
     h = math.sqrt(2.0) * sigma
     width = 2.0 * _HERMITE_RADIUS * h
@@ -246,40 +241,17 @@ def _hermite_evaluator(
     return evaluate
 
 
-class KernelRoute(NamedTuple):
-    """How a mixture's kernel sums are taken: ``route`` is ``"tiles"`` or
-    ``"hermite"``, ``coefficients`` the number of coefficients the sums
-    run over, and ``entropy_truncation`` a bound on what the dropped
-    Hermite terms can move the mixture's entropy (0 for tiles)."""
-
-    route: str
-    coefficients: int
-    entropy_truncation: float
-
-
-def kernel_route(n_components: int, span: float, sigma: float) -> KernelRoute:
+def kernel_route(n_components: int, span: float, sigma: float) -> str:
     """The kernel route of a mixture of ``n_components`` Gaussians of
-    deviation sigma whose means span ``span``.
-
-    It is ``"hermite"`` when the components outnumber the coefficients of
-    the Hermite expansion, _HERMITE_ORDER times the boxes of width
-    2 _HERMITE_RADIUS sqrt(2) sigma that the span covers, and ``"tiles"``,
-    with one coefficient per component, otherwise. On the expansion each p
-    moves by at most _HERMITE_TRUNCATION times the kernel peak
-    1/(sigma sqrt(2 pi)) per unit mass; the trapezoid sums weigh their
-    nodes by the span plus 2 _TAIL_SIGMAS sigma, and |d(p log p)/dp| =
-    |1 + log p| is at most 746 + |log peak| for p in the double range,
-    which bounds the entropy's move.
-    """
+    deviation sigma whose means span ``span``: ``"hermite"`` when the
+    components outnumber the coefficients of the Hermite expansion,
+    _HERMITE_ORDER times the boxes of width 2 _HERMITE_RADIUS sqrt(2) sigma
+    that the span covers, and ``"tiles"`` otherwise."""
     boxes = span / (2.0 * _HERMITE_RADIUS * math.sqrt(2.0) * sigma)
-    if boxes < n_components:  # else more boxes than components, or inf
-        coefficients = _HERMITE_ORDER * (math.floor(boxes) + 1)
-        if n_components > coefficients:
-            peak = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
-            length = span + 2.0 * _TAIL_SIGMAS * sigma
-            trunc = _HERMITE_TRUNCATION * peak * length * (746.0 + abs(math.log(peak)))
-            return KernelRoute("hermite", coefficients, trunc)
-    return KernelRoute("tiles", n_components, 0.0)
+    # the first test keeps an infinite box count out of floor
+    if boxes < n_components and n_components > _HERMITE_ORDER * (math.floor(boxes) + 1):
+        return "hermite"
+    return "tiles"
 
 
 def _refine(estimate, levels: int, rel_tol: float, abs_tol: float) -> tuple[float, float]:
@@ -316,7 +288,7 @@ def _mixture_integral(
         order = np.argsort(means, kind="stable")
         means, weights = means[order], weights[order]
         values = None if values is None else values[order]
-    route = kernel_route(means.size, float(means[-1] - means[0]), sigma).route
+    route = kernel_route(means.size, float(means[-1] - means[0]), sigma)
     lo = means[0] - _TAIL_SIGMAS * sigma
     hi = means[-1] + _TAIL_SIGMAS * sigma
     n0 = int(np.ceil((hi - lo) / (0.5 * sigma)))

@@ -19,17 +19,17 @@ def stream_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed & _MASK64, stream & _MASK64]))
 
 
-def _sample_indices(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
-    """Atom indices of uniforms u under the cumulative probabilities cum.
+def _thresholds(cum: np.ndarray) -> np.ndarray:
+    """Integer thresholds that map 64-bit Philox words to atoms under the
+    cumulative probabilities cum: a word w draws atom k, the count of
+    thresholds below w >> 11.
 
-    Counts the entries of cum[:-1] below u: searchsorted(cum, u) bit for
-    bit, except that a u above a rounded cum[-1] < 1 maps to the last atom
-    instead of one past it.
+    A uniform is u = (w >> 11) 2^-53, so u > cum_k exactly when
+    (w >> 11) > floor(cum_k 2^53), and the word draws atom searchsorted(cum,
+    u). The last entry of cum is left out, so that a u above a rounded
+    cum[-1] < 1 draws the last atom instead of one past it.
     """
-    idx = np.zeros(u.shape, dtype=np.min_scalar_type(cum.size - 1))
-    for c in cum[:-1]:
-        idx += u > c
-    return idx
+    return np.floor(np.ldexp(cum[:-1], 53)).astype(np.uint64)
 
 
 class IsiOutputStream:
@@ -38,11 +38,12 @@ class IsiOutputStream:
     Block by block, every value equals bit for bit the one-shot draw from
     ``stream_rng(seed, stream)``: ``random(n + mem)`` uniforms mapped to
     inputs by ``cum``, ``np.convolve(x, taps)[mem : mem + n]``, and then
-    ``sqrt(n0) * standard_normal(n)``, as long as the blocks total n. The
-    normals come from a second copy of the stream whose counter is advanced
-    past the uniforms (Philox makes four 64-bit draws per counter step, and
-    each uniform or discarded leftover takes one); the convolution carries
-    the last mem inputs from one block to the next.
+    ``sqrt(n0) * standard_normal(n)``, as long as the blocks total n. Each
+    input reads the 64-bit word its uniform would be made of and maps it by
+    _thresholds. The normals come from a second copy of the stream whose
+    counter is advanced past the words (Philox makes four 64-bit draws per
+    counter step, and each word or discarded leftover takes one); the
+    convolution carries the last mem inputs from one block to the next.
     """
 
     def __init__(
@@ -56,11 +57,11 @@ class IsiOutputStream:
         n: int,
     ):
         self._atoms = atoms
-        self._cum = cum
+        self._thresholds = _thresholds(cum)
         self._taps = taps
         self._sigma = math.sqrt(n0)
         mem = taps.size - 1
-        self._uniforms = stream_rng(seed, stream)
+        self._words = stream_rng(seed, stream).bit_generator
         self._normals = stream_rng(seed, stream)
         self._normals.bit_generator.advance((n + mem) // 4)
         if (n + mem) % 4:
@@ -70,9 +71,11 @@ class IsiOutputStream:
     def draw(self, size: int) -> tuple[np.ndarray, np.ndarray]:
         """The next size noiseless outputs and noise samples."""
         mem = self._taps.size - 1
-        fresh = self._atoms[
-            _sample_indices(self._uniforms.random(size + mem - self._tail.size), self._cum)
-        ]
+        words = self._words.random_raw(size + mem - self._tail.size) >> 11
+        idx = np.zeros(words.shape, dtype=np.min_scalar_type(self._thresholds.size))
+        for t in self._thresholds:
+            idx += words > t
+        fresh = self._atoms[idx]
         xs = np.concatenate([self._tail, fresh])
         self._tail = xs[size:].copy()
         clean = np.convolve(xs, self._taps)[mem : mem + size]

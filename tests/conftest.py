@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import isirate.gaussmix
 from isirate.bounds import _CF_BLOCK, _MC_STREAMS, _density_tables
 from isirate.channel import ChannelResponse, transfer_power
-from isirate.errors import DomainError, NonConvergent
-from isirate.gaussmix import _NODE_BLOCK, _WINDOW_SIGMAS, _refine
-from isirate.montecarlo import _sample_indices, stream_rng
+from isirate.errors import BudgetExceeded, DomainError, NonConvergent
+from isirate.gaussmix import _NODE_BLOCK, _TAIL_SIGMAS, _WINDOW_SIGMAS, _refine, kernel_route, mixture_entropy
+from isirate.montecarlo import stream_rng
 from isirate.scalar import mutual_info
 
 
@@ -134,6 +135,20 @@ def mixture_eval_dense(nodes, means_sorted, weights_sorted, sigma: float, value_
     return p, num
 
 
+def sample_indices(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
+    """Atom indices of uniforms u under the cumulative probabilities cum.
+
+    Counts the entries of cum[:-1] below u: searchsorted(cum, u) bit for
+    bit, except that a u above a rounded cum[-1] < 1 maps to the last atom
+    instead of one past it. The oracle of the library's map from Philox
+    words to atoms, montecarlo._thresholds.
+    """
+    idx = np.zeros(u.shape, dtype=np.min_scalar_type(cum.size - 1))
+    for c in cum[:-1]:
+        idx += u > c
+    return idx
+
+
 def i_mmse_mc_one_shot(design, x, n_samples: int, seed: int) -> tuple[float, float]:
     """(value, std_error) of the MC I_MMSE with each stream's patterns drawn
     in one piece: ``random((m, taps + 1))`` uniforms mapped to atoms by
@@ -150,13 +165,142 @@ def i_mmse_mc_one_shot(design, x, n_samples: int, seed: int) -> tuple[float, flo
     d = []
     for s, m in enumerate(counts):
         rng = stream_rng(seed, s)
-        vals = atoms.take(_sample_indices(rng.random((m, taps1.size + 1)), cum))
+        vals = atoms.take(sample_indices(rng.random((m, taps1.size + 1)), cum))
         y1 = vals[:, 1:] @ taps1 + sigma * rng.standard_normal(m)
         d.append(table1(y1) - table0(vals[:, 0] + y1))
     d = np.concatenate(d)
     mean = float(d.sum()) / n_samples
     var = (float(d @ d) - n_samples * mean * mean) / (n_samples - 1)
     return mean, math.sqrt(max(var, 0.0) / n_samples)
+
+
+# I_MMSE by enumerating the interference mixtures: the oracle of the
+# library's characteristic-function route. It keeps at most ENUM_BUDGET
+# components per mixture and prunes at most PRUNE_MASS of their mass, and
+# sorts at most CLASS_CAP atom-count classes (8 MB per class array).
+ENUM_BUDGET = 2**24
+CLASS_CAP = 2**20
+PRUNE_MASS = 1e-12
+
+
+def weight_floor(probs: np.ndarray, n_steps: int, mass_budget: float) -> tuple[float, float, float]:
+    """(log floor, patterns kept, mass dropped) of the patterns of n_steps
+    i.i.d. atoms whose weight reaches a floor.
+
+    Patterns with the same atom counts k (sum k = n_steps) share the weight
+    prod p_a^k_a, so the C(n_steps + |A| - 1, |A| - 1) count classes are
+    sorted by weight, and classes within 1e-9 of each other in log weight
+    form one group. Groups are dropped whole, lightest first, while their
+    mass fits mass_budget; the floor is the log weight of the lightest
+    class kept. Raises BudgetExceeded past CLASS_CAP classes, which are
+    not counted.
+    """
+    from scipy.special import gammaln
+
+    n_classes = math.comb(n_steps + probs.size - 1, probs.size - 1)
+    if n_classes > CLASS_CAP:
+        raise BudgetExceeded(f"mixture of {n_steps} taps has {n_classes} weight classes, more than {CLASS_CAP}")
+    counts = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(probs.size - 1):
+        reps = n_steps - counts.sum(axis=1) + 1
+        k = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        counts = np.column_stack([np.repeat(counts, reps, axis=0), k])
+    counts = np.column_stack([counts, n_steps - counts.sum(axis=1)])
+    log_w = counts @ np.log(probs)
+    log_n = gammaln(n_steps + 1.0) - gammaln(counts + 1.0).sum(axis=1)
+    order = np.argsort(log_w, kind="stable")
+    log_w, log_n = log_w[order], log_n[order]
+    cum = np.cumsum(np.exp(log_w + log_n))
+    # the last class of each group, and the groups whose mass, with that of
+    # every lighter group, fits the budget
+    last = np.flatnonzero(np.append(np.diff(log_w) > 1e-9, True))
+    n_dropped = int(np.searchsorted(cum[last], mass_budget, side="right"))
+    first = int(last[n_dropped - 1]) + 1 if n_dropped else 0
+    dropped = float(cum[first - 1]) if first else 0.0
+    return float(log_w[first]), float(np.exp(log_n[first:]).sum()), dropped
+
+
+def enumerate_mixture(taps, atoms, probs, budget: int, mass_budget: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """The interference patterns at or above the weight floor of
+    weight_floor, as (means ascending, weights renormalised, dropped mass).
+
+    A partial pattern is kept iff its weight times p_max^(taps left)
+    reaches the floor, so exactly the patterns of the kept classes are
+    enumerated, and no intermediate array outgrows their count. That count
+    is known before the enumeration starts, which raises BudgetExceeded
+    when it exceeds ``budget``.
+    """
+    n_steps = taps.size
+    log_floor, n_keep, dropped = weight_floor(probs, n_steps, mass_budget)
+    if n_keep > budget:
+        raise BudgetExceeded(f"mixture needs {n_keep:.3g} components, more than {budget}")
+    # half the 1e-9 grouping gap below the floor: round-off in the products
+    # cannot move a pattern across it
+    log_floor -= 5e-10
+    log_p_max = math.log(probs.max())
+    means = np.zeros(1)
+    w = np.ones(1)
+    for left, t in zip(range(n_steps - 1, -1, -1), taps):
+        least = math.exp(log_floor - left * log_p_max)
+        keep = [w * p >= least for p in probs]
+        means = np.concatenate([means[k] + t * a for a, k in zip(atoms, keep)])
+        w = np.concatenate([w[k] * p for p, k in zip(probs, keep)])
+    order = np.argsort(means, kind="stable")
+    w = w[order]
+    return means[order], w / w.sum(), dropped
+
+
+def hermite_truncation() -> float:
+    """Cramer's bound on the Hermite terms gaussmix drops, per unit mass
+    relative to the kernel peak: K (sqrt2 r)^p / sqrt(p!) / (1 - sqrt2 r /
+    sqrt(p + 1)), K = 1.09, at the module's radius r and order p."""
+    r2 = math.sqrt(2.0) * isirate.gaussmix._HERMITE_RADIUS
+    order = isirate.gaussmix._HERMITE_ORDER
+    return 1.09 * r2**order / math.sqrt(math.factorial(order)) / (1.0 - r2 / math.sqrt(order + 1.0))
+
+
+def entropy_truncation(means: np.ndarray, sigma: float) -> float:
+    """How far the dropped Hermite terms can move the entropy of a mixture
+    with ascending ``means`` (0 on the tiles).
+
+    Each p moves by at most hermite_truncation() times the kernel peak
+    1/(sigma sqrt(2 pi)); the trapezoid sums weigh their nodes by the span
+    plus 2 _TAIL_SIGMAS sigma, and |d(p log p)/dp| = |1 + log p| is at most
+    746 + |log peak| for p in the double range.
+    """
+    span = float(means[-1] - means[0])
+    if kernel_route(means.size, span, sigma) != "hermite":
+        return 0.0
+    peak = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
+    length = span + 2.0 * _TAIL_SIGMAS * sigma
+    return hermite_truncation() * peak * length * (746.0 + abs(math.log(peak)))
+
+
+def i_mmse_enumerated(design, x) -> tuple[float, float]:
+    """(value, err_bound) of I(x_0; x_0 + sum alpha_k x_k + m) by exact
+    mixture entropies: the oracle of bounds.i_mmse_exact.
+
+    Both terms of I = h(x_0 + mu_1 + m) - h(mu_1 + m) are differential
+    entropies, by gaussmix.mixture_entropy, of Gaussian mixtures enumerated
+    over the residual taps, each pruned of at most half of PRUNE_MASS.
+    Raises BudgetExceeded when either mixture keeps more than ENUM_BUDGET
+    components. A renormalised drop of mass d moves each entropy by
+    O(d log(d/p_min)), within 50 nats per unit mass at this budget; the
+    entropies also round, by up to 4 eps (|h0| + |h1|) between kernel tile
+    sizes on the presets, of which 16 eps is a floor; and on the Hermite
+    route each entropy adds entropy_truncation.
+    """
+    atoms = np.asarray(x.atoms)
+    probs = np.asarray(x.probs)
+    sigma = math.sqrt(design.noise_var)
+    taps1 = design.residual
+    m0, w0, drop0 = enumerate_mixture(np.concatenate(([1.0], taps1)), atoms, probs, ENUM_BUDGET, 0.5 * PRUNE_MASS)
+    m1, w1, drop1 = enumerate_mixture(taps1, atoms, probs, ENUM_BUDGET, 0.5 * PRUNE_MASS)
+    h0, e0 = mixture_entropy(m0, w0, sigma)
+    h1, e1 = mixture_entropy(m1, w1, sigma)
+    eps = np.finfo(float).eps
+    err = e0 + e1 + 50.0 * (drop0 + drop1) + 16.0 * eps * (abs(h0) + abs(h1))
+    return h0 - h1, err + entropy_truncation(m0, sigma) + entropy_truncation(m1, sigma)
 
 
 # Gauss-Legendre panels, 16 nodes each; up to 12 doublings of the panel

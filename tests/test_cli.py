@@ -217,11 +217,12 @@ class TestSubcommands:
         assert "--i-mmse" in capsys.readouterr().err
 
     def test_bounds_exact_over_budget_exits_3(self, capsys):
-        args = ["bounds", "--channel", "jeong", "--input", "bpsk", "--snr-db", "10", "--i-mmse", "exact"]
+        # the refined density grid needs 2^23 points at 100 dB
+        args = ["bounds", "--channel", "channel_b", "--input", "bpsk", "--snr-db", "100", "--i-mmse", "exact"]
         assert main(args) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "components" in captured.err
+        assert "grid" in captured.err
 
     def test_simulate(self, capsys, tmp_path):
         per_seed = tmp_path / "seeds.csv"
@@ -360,7 +361,7 @@ class TestSubcommands:
         # is under test: each figure is the bounds sweep of its manifest,
         # plus the two rate columns where it simulates
         def fake_exact(design, x):
-            return ImmseExact(0.1, 1e-13, (1, 1), 0.0, ("tiles", "tiles"), (1, 1))
+            return ImmseExact(0.1, 1e-13, (1, 1), 512)
 
         def fake_mc(design, x, n_samples, seed):
             return RateEstimate(0.1, 1e-3, n_samples, 8, ((seed, 0),), {"density_audit_err": 1e-7})

@@ -16,7 +16,7 @@ import isirate
 import isirate.montecarlo
 from isirate.channel import ChannelResponse, channel_b, jeong, spectral_summary
 from isirate.errors import BudgetExceeded, DomainError
-from isirate.montecarlo import IsiOutputStream, _sample_indices, stream_rng
+from isirate.montecarlo import IsiOutputStream, stream_rng
 from isirate.rate_sim import (
     _block_multiple,
     _initial_state_probs,
@@ -30,7 +30,7 @@ from isirate.scalar import InputDistribution, bpsk, make_trinary, mutual_info
 from isirate.bounds import i_mmse_mc
 from isirate.equalizer import design_mmse_dfe
 
-from conftest import forward_log_likelihood
+from conftest import forward_log_likelihood, sample_indices
 
 
 def brute_force_log_likelihood(y, channel, x, n0):
@@ -231,7 +231,7 @@ class TestStreams:
             atoms = np.asarray(x.atoms)
             cum = np.cumsum(x.probs)
             rng = stream_rng(9, 4)
-            xs = atoms[_sample_indices(rng.random(n + mem), cum)]
+            xs = atoms[sample_indices(rng.random(n + mem), cum)]
             clean = np.convolve(xs, taps)[mem : mem + n]
             noise = math.sqrt(n0) * rng.standard_normal(n)
             stream = IsiOutputStream(9, 4, atoms, cum, taps, n0, n)

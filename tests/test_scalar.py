@@ -11,9 +11,7 @@ from isirate.channel import channel_b
 from isirate.equalizer import design_mmse_dfe
 from isirate.errors import DomainError, NonConvergent
 import isirate.gaussmix
-from isirate.bounds import _BUDGET, _PRUNE_MASS, _enumerate_mixture
 from isirate.gaussmix import (
-    _HERMITE_TRUNCATION,
     _hermite_evaluator,
     _mixture_evaluator,
     _refine,
@@ -34,7 +32,16 @@ from isirate.scalar import (
     parse_input_spec,
 )
 
-from conftest import mixture_eval_dense, mmse_binary, q_tail
+from conftest import (
+    ENUM_BUDGET,
+    PRUNE_MASS,
+    enumerate_mixture,
+    entropy_truncation,
+    hermite_truncation,
+    mixture_eval_dense,
+    mmse_binary,
+    q_tail,
+)
 
 PRESETS = {
     "bpsk": bpsk(),
@@ -391,8 +398,8 @@ class TestMixtureKernel:
         x = make_trinary(0.01)
         d = design_mmse_dfe(channel_b(), x, 10**-1.4)
         taps0 = np.concatenate(([1.0], d.residual))
-        means, weights, _ = _enumerate_mixture(
-            taps0, np.asarray(x.atoms), np.asarray(x.probs), _BUDGET, 0.5 * _PRUNE_MASS
+        means, weights, _ = enumerate_mixture(
+            taps0, np.asarray(x.atoms), np.asarray(x.probs), ENUM_BUDGET, 0.5 * PRUNE_MASS
         )
         assert means.size == 52905
         assert np.all(np.diff(means) >= 0.0)
@@ -465,12 +472,12 @@ class TestHermiteKernel:
         x = make_trinary(0.01)
         d = design_mmse_dfe(channel_b(), x, 10**-1.4)
         taps0 = np.concatenate(([1.0], d.residual))
-        means, weights, _ = _enumerate_mixture(
-            taps0, np.asarray(x.atoms), np.asarray(x.probs), _BUDGET, 0.5 * _PRUNE_MASS
+        means, weights, _ = enumerate_mixture(
+            taps0, np.asarray(x.atoms), np.asarray(x.probs), ENUM_BUDGET, 0.5 * PRUNE_MASS
         )
         assert means.size == 52905
         sigma = math.sqrt(d.noise_var)
-        assert kernel_route(means.size, means[-1] - means[0], sigma).route == "hermite"
+        assert kernel_route(means.size, means[-1] - means[0], sigma) == "hermite"
         nodes = np.arange(means[0] - 10.0 * sigma, means[-1] + 10.0 * sigma, 0.25 * sigma)
         values = np.random.default_rng(4).standard_normal(means.size)
         _assert_hermite_matches_dense(nodes, means, weights, sigma, values)
@@ -494,10 +501,10 @@ class TestHermiteKernel:
     def test_truncation_bound_of_the_defaults(self):
         # r = 0.025, p = 16: far below the round-off of any kernel sum
         r2 = math.sqrt(2.0) * 0.025
-        assert _HERMITE_TRUNCATION == pytest.approx(
+        assert hermite_truncation() == pytest.approx(
             1.09 * r2**16 / math.sqrt(math.factorial(16)) / (1.0 - r2 / math.sqrt(17.0)), rel=1e-15
         )
-        assert _HERMITE_TRUNCATION < 1e-29
+        assert hermite_truncation() < 1e-29
 
 
 class TestKernelRoute:
@@ -505,13 +512,16 @@ class TestKernelRoute:
     coefficients, so the mixtures of I_x and mmse_x stay on the tiles."""
 
     def test_rule_is_a_count(self):
-        # boxes of width 0.05 sqrt(2) sigma: a span of 1 sigma covers 15 boxes
-        assert kernel_route(16 * 15, 1.0, 1.0) == ("tiles", 240, 0.0)
-        route = kernel_route(16 * 15 + 1, 1.0, 1.0)
-        assert route.route == "hermite" and route.coefficients == 16 * 15
-        assert 0.0 < route.entropy_truncation < 1e-25
-        assert kernel_route(4, 0.0, 1.0).route == "tiles"
-        assert kernel_route(17, 0.0, 1.0).route == "hermite"
+        # boxes of width 0.05 sqrt(2) sigma: a span of 1 sigma covers 15
+        # boxes, and 16 coefficients each
+        assert kernel_route(16 * 15, 1.0, 1.0) == "tiles"
+        assert kernel_route(16 * 15 + 1, 1.0, 1.0) == "hermite"
+        assert kernel_route(4, 0.0, 1.0) == "tiles"
+        assert kernel_route(17, 0.0, 1.0) == "hermite"
+        assert kernel_route(2, math.inf, 1.0) == "tiles"
+        # the oracle's bound on what the dropped terms move an entropy
+        assert entropy_truncation(np.linspace(0.0, 1.0, 16 * 15), 1.0) == 0.0
+        assert 0.0 < entropy_truncation(np.linspace(0.0, 1.0, 16 * 15 + 1), 1.0) < 1e-25
 
     def test_scalar_integrals_equal_a_tiles_only_run(self, monkeypatch):
         xs = list(PRESETS.values()) + [
