@@ -11,7 +11,10 @@ route checks the size of its largest grid before any FFT and raises
 BudgetExceeded past _GRID_MAX points. The Monte Carlo route reads, per
 sample, one 64-bit Philox word per tap, sample after sample, and then
 each stream's normals; it draws the words in blocks of _MC_BLOCK, so its
-memory is O(block), not O(samples x taps).
+memory is O(block), not O(samples x taps). The command line and every
+figure take the exact route; i_mmse_mc stays only for callers of
+bound_report(i_mmse_method="mc") and the benchmark's bounds_mc and
+trellis_rate workloads, until the benchmark moves to the exact route.
 bound_report takes the route it is asked for and never swaps one for the
 other. Around it sit the single-letter proxies (i_sow, i_sl), the low-SNR
 gap expansion, the genie MMSE lower bound and the Information-Estimation

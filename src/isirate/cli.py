@@ -5,6 +5,10 @@ Rates are computed in nats internally and emitted in bits. CSV files use
 17 significant digits so sub-1e-8-bit gaps survive serialization. Exit
 codes: 0 success, 2 configuration error, 3 numerical failure.
 
+`bounds` and `figure` run one sweep. Its I_MMSE route is `exact` or
+`none`, and every figure takes `exact`, so the only sampling left on the
+command line is the rate simulation of `simulate` and fig2a/fig2b.
+
 The worker-pool width for SNR sweeps comes from ISIRATE_THREADS
 (default 1); outputs are written in grid order and are byte-identical
 for a fixed configuration and seed regardless of the thread count.
@@ -178,7 +182,6 @@ _BOUND_FIELDS = (
     "ie_conj",  # conjectured bound, not proven
     "i_mmse",
     "i_mmse_method",
-    "i_mmse_std_error",
     "i_mmse_err_bound",
     "gap_series",
     "eps0",
@@ -187,21 +190,19 @@ _UNITLESS = ("rho", "gamma1_opt", "gamma2_opt", "i_mmse_method", "eps0")
 _BOUND_COLUMNS = ["snr_db"] + [f if f in _UNITLESS else f"{f}_bits" for f in _BOUND_FIELDS]
 
 
-def _sweep(ch, x, grid, i_mmse, n_samples, seed, rate=None) -> str:
+def _sweep(ch, x, grid, i_mmse, rate=None) -> str:
     """CSV text of one bound_report row per dB point of grid, gap series
-    included; with rate = (n_symbols, n_seeds) each row also carries the
-    estimate_rate value and its standard error."""
+    included; with rate = (n_symbols, n_seeds, seed) each row also carries
+    the estimate_rate value and its standard error."""
     rhos = [_rho(db) for db in grid]  # every point checked before the sweep
 
     def point(i: int) -> list:
-        rep = bound_report(
-            ch, x, rhos[i], i_mmse, n_samples=n_samples, seed=seed, include_gap_series=True
-        )
+        rep = bound_report(ch, x, rhos[i], i_mmse, include_gap_series=True)
         row = [grid[i]] + [
             getattr(rep, f) if f in _UNITLESS else _bits(getattr(rep, f)) for f in _BOUND_FIELDS
         ]
         if rate:
-            est = estimate_rate(ch, x, rhos[i], *rate, seed)
+            est = estimate_rate(ch, x, rhos[i], *rate)
             row += [_bits(est.value), _bits(est.std_error)]
         return row
 
@@ -212,7 +213,7 @@ def _sweep(ch, x, grid, i_mmse, n_samples, seed, rate=None) -> str:
 def cmd_bounds(args) -> int:
     ch = parse_channel(args.channel, args.normalize)
     x = parse_input(args.input)
-    text = _sweep(ch, x, parse_snr_grid(args.snr_db), args.i_mmse, args.n_samples, args.seed)
+    text = _sweep(ch, x, parse_snr_grid(args.snr_db), args.i_mmse)
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -281,19 +282,17 @@ def cmd_highsnr_probe(args) -> int:
 # ---------------------------------------------------------------------------
 # figure reproduction
 
-# name -> (channel, input, SNR grid in dB, I_MMSE route, simulated). Each
-# figure is the bounds sweep of its row, plus the simulated rate for
+# name -> (channel, input, SNR grid in dB, simulated). Each figure is the
+# exact-route bounds sweep of its row, plus the simulated rate for
 # fig2a/fig2b. The fig2 grids cover the rise of the rate curves; beyond
-# them everything saturates at the input entropy. fig2a, fig3 and fig4
-# take the Monte Carlo route, though the exact route reaches their grids
-# as well.
+# them everything saturates at the input entropy.
 _FIGURES = {
-    "fig1a": ("channel_b", "trinary(0.01)", "-28:-18:2", "exact", False),
-    "fig1b": ("channel_b", "skewed_binary(0.002)", "-28:-18:2", "exact", False),
-    "fig2a": ("channel_b", "trinary(0.01)", "-15:2.5:2.5", "mc", True),
-    "fig2b": ("channel_b", "skewed_binary(0.002)", "-20:-7.5:2.5", "exact", True),
-    "fig3": ("jeong", "bpsk", "-12:15:3", "mc", False),
-    "fig4": ("jeong_spaced", "bpsk", "-12:15:3", "mc", False),
+    "fig1a": ("channel_b", "trinary(0.01)", "-28:-18:2", False),
+    "fig1b": ("channel_b", "skewed_binary(0.002)", "-28:-18:2", False),
+    "fig2a": ("channel_b", "trinary(0.01)", "-15:2.5:2.5", True),
+    "fig2b": ("channel_b", "skewed_binary(0.002)", "-20:-7.5:2.5", True),
+    "fig3": ("jeong", "bpsk", "-12:15:3", False),
+    "fig4": ("jeong_spaced", "bpsk", "-12:15:3", False),
 }
 
 
@@ -301,29 +300,28 @@ def cmd_figure(args) -> int:
     name = args.name
     if name not in _FIGURES:
         raise DomainError(f"unknown figure {name!r}")
-    channel, inp, grid, route, simulated = _FIGURES[name]
+    channel, inp, grid, simulated = _FIGURES[name]
     rate = None
     if simulated:
-        rate = (5 * 10**8, 20) if args.full else (10**7, 10)
-    n_symbols, n_seeds = rate or (None, None)
+        rate = (5 * 10**8, 20, args.seed) if args.full else (10**7, 10, args.seed)
+    n_symbols, n_seeds, seed = rate or (None, None, None)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     ch, x = parse_channel(channel), parse_input(inp)
-    text = _sweep(ch, x, parse_snr_grid(grid), route, args.n_samples, args.seed, rate)
+    text = _sweep(ch, x, parse_snr_grid(grid), "exact", rate)
     (out_dir / f"{name}.csv").write_text(text)
-    # the bounds options that rerun the sweep, then the simulation profile,
-    # which --full sets for the simulated figures only
+    # the bounds options that rerun the sweep, then the simulation profile
+    # of the simulated figures, which --full and --seed set
     manifest = {
         "figure": name,
         "channel": channel,
         "input": inp,
         "snr_db": grid,
-        "i_mmse_method": route,
-        "n_samples": args.n_samples,
-        "seed": args.seed,
+        "i_mmse_method": "exact",
         "n_symbols": n_symbols,
         "n_seeds": n_seeds,
+        "seed": seed,
         "threads": _n_threads(),
         "runtime_s": time.perf_counter() - t0,
         "version": __version__,
@@ -378,11 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--i-mmse",
         required=True,
-        choices=["exact", "mc", "none"],
+        choices=["exact", "none"],
         help="I_MMSE route; exact exits 3 when its density grid outgrows its budget",
     )
-    sp.add_argument("--n-samples", type=int, default=100_000)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None, help="CSV path (default: stdout)")
     sp.set_defaults(func=cmd_bounds)
 
@@ -416,8 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("figure", help="reproduce a reference figure's data")
     sp.add_argument("name", help="fig1a|fig1b|fig2a|fig2b|fig3|fig4")
     sp.add_argument("--out-dir", default="figures")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--n-samples", type=int, default=200_000)
+    sp.add_argument("--seed", type=int, default=0, help="rate simulation seed (fig2a/fig2b)")
     sp.add_argument("--full", action="store_true", help="paper-scale rate simulation (fig2a/fig2b)")
     sp.set_defaults(func=cmd_figure)
 

@@ -184,16 +184,17 @@ PRUNE_MASS = 1e-12
 
 
 def weight_floor(probs: np.ndarray, n_steps: int, mass_budget: float) -> tuple[float, float, float]:
-    """(log floor, patterns kept, mass dropped) of the patterns of n_steps
-    i.i.d. atoms whose weight reaches a floor.
+    """(log floor, log of the patterns kept, mass dropped) of the patterns
+    of n_steps i.i.d. atoms whose weight reaches a floor.
 
     Patterns with the same atom counts k (sum k = n_steps) share the weight
     prod p_a^k_a, so the C(n_steps + |A| - 1, |A| - 1) count classes are
     sorted by weight, and classes within 1e-9 of each other in log weight
     form one group. Groups are dropped whole, lightest first, while their
     mass fits mass_budget; the floor is the log weight of the lightest
-    class kept. Raises BudgetExceeded past CLASS_CAP classes, which are
-    not counted.
+    class kept. The count is kept as a log, since 2^1000 patterns overflow
+    a double. Raises BudgetExceeded past CLASS_CAP classes, which are not
+    counted.
     """
     from scipy.special import gammaln
 
@@ -217,7 +218,7 @@ def weight_floor(probs: np.ndarray, n_steps: int, mass_budget: float) -> tuple[f
     n_dropped = int(np.searchsorted(cum[last], mass_budget, side="right"))
     first = int(last[n_dropped - 1]) + 1 if n_dropped else 0
     dropped = float(cum[first - 1]) if first else 0.0
-    return float(log_w[first]), float(np.exp(log_n[first:]).sum()), dropped
+    return float(log_w[first]), float(np.logaddexp.reduce(log_n[first:])), dropped
 
 
 def enumerate_mixture(taps, atoms, probs, budget: int, mass_budget: float) -> tuple[np.ndarray, np.ndarray, float]:
@@ -231,9 +232,9 @@ def enumerate_mixture(taps, atoms, probs, budget: int, mass_budget: float) -> tu
     when it exceeds ``budget``.
     """
     n_steps = taps.size
-    log_floor, n_keep, dropped = weight_floor(probs, n_steps, mass_budget)
-    if n_keep > budget:
-        raise BudgetExceeded(f"mixture needs {n_keep:.3g} components, more than {budget}")
+    log_floor, log_keep, dropped = weight_floor(probs, n_steps, mass_budget)
+    if log_keep > math.log(budget):
+        raise BudgetExceeded(f"mixture needs 10^{log_keep / math.log(10):.4g} components, more than {budget}")
     # half the 1e-9 grouping gap below the floor: round-off in the products
     # cannot move a pattern across it
     log_floor -= 5e-10

@@ -20,8 +20,8 @@ from isirate.channel import spectral_summary
 LOG2 = math.log(2.0)
 BOUND_HEADER = (
     "snr_db,rho,gaussian_rate_bits,i_sow_bits,i_sl_bits,ie_simple_bits,ie_opt_bits,"
-    "gamma1_opt,gamma2_opt,ie_conj_bits,i_mmse_bits,i_mmse_method,i_mmse_std_error_bits,"
-    "i_mmse_err_bound_bits,gap_series_bits,eps0"
+    "gamma1_opt,gamma2_opt,ie_conj_bits,i_mmse_bits,i_mmse_method,i_mmse_err_bound_bits,"
+    "gap_series_bits,eps0"
 )
 
 
@@ -40,8 +40,6 @@ def _rerun_as_bounds(manifest: dict, out) -> int:
             "--input", manifest["input"],
             f"--snr-db={manifest['snr_db']}",
             "--i-mmse", manifest["i_mmse_method"],
-            "--n-samples", str(manifest["n_samples"]),
-            "--seed", str(manifest["seed"]),
             "--out", str(out),
         ]
     )
@@ -151,24 +149,11 @@ class TestSubcommands:
         assert i_sl_bits == pytest.approx(nats / LOG2, abs=1e-12)
 
     def test_bounds_deterministic_across_threads(self, tmp_path, monkeypatch):
-        mc = [
-            "bounds",
-            "--channel",
-            "[0.8, 0.6]",
-            "--input",
-            "bpsk",
-            "--snr-db=-3:3:3",
-            "--i-mmse",
-            "mc",
-            "--n-samples",
-            "20000",
-            "--seed",
-            "7",
-        ]
+        exact = ["bounds", "--channel", "[0.8, 0.6]", "--input", "bpsk", "--snr-db=-3:3:3", "--i-mmse", "exact"]
         # 18 points on one fresh channel: with 4 threads they race on the
         # first access to its cached SNR-free quantities
         sweep = ["bounds", "--channel", "jeong", "--input", "bpsk", "--snr-db=-40:45:5", "--i-mmse", "none"]
-        for i, args in enumerate((mc, sweep)):
+        for i, args in enumerate((exact, sweep)):
             a = tmp_path / f"a{i}.csv"
             b = tmp_path / f"b{i}.csv"
             c = tmp_path / f"c{i}.csv"
@@ -181,15 +166,14 @@ class TestSubcommands:
             assert a.read_bytes() == c.read_bytes()
 
     def test_bounds_exact_rows_have_no_std_error(self, tmp_path):
-        # an exact value is not a sampled estimate: its standard-error
-        # cell is empty, never 0
+        # an exact value is not a sampled estimate, and the CLI samples
+        # nothing else: there is no standard-error column
         out = tmp_path / "bounds.csv"
         args = ["bounds", "--channel", "[0.8, 0.6]", "--input", "skewed_binary(0.1)"]
         assert main(args + ["--snr-db=-10:0:10", "--i-mmse", "exact", "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == BOUND_HEADER
         assert _column(lines, "i_mmse_method") == ["exact", "exact"]
-        assert _column(lines, "i_mmse_std_error_bits") == ["", ""]
         assert all(float(v) > 0.0 for v in _column(lines, "i_mmse_err_bound_bits"))
 
     def test_bounds_stdout_negative_grid(self, capsys):
@@ -334,10 +318,10 @@ class TestSubcommands:
         assert _rerun_as_bounds(manifest, out) == 0
         assert out.read_bytes() == (tmp_path / "fig1b.csv").read_bytes()
 
-    @pytest.mark.parametrize("name,method", [("fig2a", "mc"), ("fig2b", "exact")])
-    def test_figure_fig2_route(self, name, method, tmp_path, monkeypatch, capsys):
-        # the route is fixed per figure and recorded; the simulation and the
-        # I_MMSE evaluation are stubbed, only the wiring is under test
+    @pytest.mark.parametrize("name", ["fig1a", "fig1b", "fig2a", "fig2b", "fig3", "fig4"])
+    def test_figure_route(self, name, tmp_path, monkeypatch, capsys):
+        # every figure takes the exact route and records it; the simulation
+        # and the I_MMSE evaluation are stubbed, only the wiring is under test
         routes = []
         report = isirate.cli.bound_report
 
@@ -351,28 +335,27 @@ class TestSubcommands:
         monkeypatch.setattr(isirate.cli, "bound_report", fake_report)
         monkeypatch.setattr(isirate.cli, "estimate_rate", fake_rate)
         assert main(["figure", name, "--out-dir", str(tmp_path)]) == 0
-        assert routes and set(routes) == {method}
+        assert routes and set(routes) == {"exact"}
         manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
-        assert manifest["i_mmse_method"] == method
+        assert manifest["i_mmse_method"] == "exact"
 
     @pytest.mark.parametrize("name", ["fig1a", "fig1b", "fig2a", "fig2b", "fig3", "fig4"])
     def test_figure_is_its_bounds_sweep(self, name, tmp_path, monkeypatch, capsys):
-        # both I_MMSE routes and the simulation are stubbed, only the wiring
+        # the I_MMSE route and the simulation are stubbed, only the wiring
         # is under test: each figure is the bounds sweep of its manifest,
-        # plus the two rate columns where it simulates
+        # plus the two rate columns where it simulates with the seed given
+        seeds = []
+
         def fake_exact(design, x):
             return ImmseExact(0.1, 1e-13, (1, 1), 512)
 
-        def fake_mc(design, x, n_samples, seed):
-            return RateEstimate(0.1, 1e-3, n_samples, 8, ((seed, 0),), {"density_audit_err": 1e-7})
-
-        def fake_rate(*args):
+        def fake_rate(ch, x, rho, n_symbols, n_seeds, seed):
+            seeds.append(seed)
             return RateEstimate(value=0.2, std_error=1e-4, n_samples=1, n_seeds=1, seeds=((0, 0),))
 
         monkeypatch.setattr(isirate.bounds, "i_mmse_exact", fake_exact)
-        monkeypatch.setattr(isirate.bounds, "i_mmse_mc", fake_mc)
         monkeypatch.setattr(isirate.cli, "estimate_rate", fake_rate)
-        assert main(["figure", name, "--out-dir", str(tmp_path)]) == 0
+        assert main(["figure", name, "--out-dir", str(tmp_path), "--seed", "5"]) == 0
         manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
         out = tmp_path / "bounds.csv"
         assert _rerun_as_bounds(manifest, out) == 0
@@ -381,13 +364,27 @@ class TestSubcommands:
         simulated = name in ("fig2a", "fig2b")
         assert manifest["n_symbols"] == (10**7 if simulated else None)
         assert manifest["n_seeds"] == (10 if simulated else None)
+        assert manifest["seed"] == (5 if simulated else None)
+        assert seeds == [5] * (len(figure) - 1 if simulated else 0)
         rate = ",rate_bits,rate_stderr_bits" if simulated else ""
         assert figure[0] == BOUND_HEADER + rate
         n = len(bounds[0].split(","))
         assert [",".join(line.split(",")[:n]) for line in figure] == bounds
-        exact = manifest["i_mmse_method"] == "exact"
-        std_error = _column(figure, "i_mmse_std_error_bits")
-        assert std_error == ["" if exact else format(1e-3 / LOG2, ".17g")] * len(std_error)
+
+    def test_figures_3_and_4_resolve_the_sign_of_the_gap(self, tmp_path, capsys):
+        # the paper's claim on BPSK: I_MMSE - I_SL < 0 from -12 to 3 dB and
+        # > 0 from 6 to 15 dB, each point by more than its error bound
+        for name in ("fig3", "fig4"):
+            assert main(["figure", name, "--out-dir", str(tmp_path)]) == 0
+            lines = (tmp_path / f"{name}.csv").read_text().splitlines()
+            snr_db, i_mmse, i_sl, err = (
+                [float(v) for v in _column(lines, c)]
+                for c in ("snr_db", "i_mmse_bits", "i_sl_bits", "i_mmse_err_bound_bits")
+            )
+            assert snr_db == [-12.0 + 3.0 * k for k in range(10)]
+            for db, a, b, e in zip(snr_db, i_mmse, i_sl, err):
+                assert 0.0 < e <= 1e-11, (name, db)
+                assert (a - b < -e) if db <= 3.0 else (a - b > e), (name, db, a - b, e)
 
     def test_exit_code_config_error(self, capsys):
         assert main(["analyze", "--channel", "[0, 0]", "--snr-db", "0"]) == 2
