@@ -19,9 +19,11 @@ bound_report takes the route it is asked for and never swaps one for the
 other. Around it sit the single-letter proxies (i_sow, i_sl), the low-SNR
 gap expansion, the genie MMSE lower bound and the Information-Estimation
 bound family, whose optimum ie_opt takes one route of derivative roots
-(the I-MMSE relation). Each bound built on the DFE has one form,
-f(design, x); i_sow needs no design and takes (channel, x, rho). All rates
-are nats.
+(the I-MMSE relation). The genie bound takes each block's MMSE on an FFT
+grid of the same kind, from the closed-form transforms of the block's
+output density and of E[C|y] p(y), so it enumerates no pattern. Each
+bound built on the DFE has one form, f(design, x); i_sow needs no design
+and takes (channel, x, rho). All rates are nats.
 """
 
 from __future__ import annotations
@@ -35,9 +37,8 @@ import numpy as np
 from .channel import ChannelResponse
 from .equalizer import DfeDesign, design_mmse_dfe
 from .errors import BudgetExceeded, DomainError, NonConvergent
-from .gaussmix import consolidate_atoms
 from .montecarlo import RateEstimate, _thresholds, stream_rng
-from .scalar import InputDistribution, discrete_mmse, mmse, mutual_info
+from .scalar import InputDistribution, mmse, mutual_info
 
 _EPS = float(np.finfo(float).eps)
 _I_MMSE_METHODS = ("exact", "mc", "none")
@@ -94,25 +95,40 @@ def _frequencies(n: int, dy: float) -> np.ndarray:
     return 2.0 * np.pi * np.fft.rfftfreq(n, d=dy)
 
 
-def _char_fn(taps, atoms, probs, sigma: float, omega: np.ndarray) -> np.ndarray:
-    """Phi(w) = exp(-sigma^2 w^2 / 2) prod_k E e^{i w t_k x} at the ascending
-    frequencies w >= 0.
-
-    The per-tap factors are multiplied in only over the leading frequencies
-    where the Gaussian factor has not underflowed to 0; past them Phi is 0
-    whatever the taps give. The taps are still blocked by the length of the
-    whole grid, which keeps those leading values bit for bit those of a
-    product over every frequency.
-    """
-    taps = np.asarray(taps, dtype=float)
+def _live(sigma: float, omega: np.ndarray) -> tuple[np.ndarray, int]:
+    """exp(-sigma^2 w^2 / 2) at the ascending frequencies w >= 0, and the
+    number of leading frequencies where it has not underflowed to 0: past
+    them a characteristic function with that Gaussian factor is 0 whatever
+    the taps give, so per-tap factors are multiplied in only before them."""
     gauss = np.exp(-0.5 * (sigma * omega) ** 2)
-    phi = gauss.astype(complex)
-    live = phi[: np.count_nonzero(gauss)]
+    return gauss, int(np.count_nonzero(gauss))
+
+
+def _tap_phases(taps: np.ndarray, atoms: np.ndarray, omega: np.ndarray, live: int):
+    """Yield, per block of taps, the block and the phases w t_k x, shape
+    (k, |A|, live), at the first ``live`` frequencies of omega.
+
+    The taps are blocked by the length of the whole grid, at most _CF_BLOCK
+    phases over it, which keeps the leading values of a product over the
+    blocks bit for bit those of a product over every frequency.
+    """
     block = max(1, _CF_BLOCK // (atoms.size * omega.size))
     for i in range(0, taps.size, block):
-        arg = np.multiply.outer(np.multiply.outer(taps[i : i + block], atoms), omega[: live.size])
+        t = taps[i : i + block]
+        yield t, np.multiply.outer(np.multiply.outer(t, atoms), omega[:live])
+
+
+def _char_fn(taps, atoms, probs, sigma: float, omega: np.ndarray) -> np.ndarray:
+    """Phi(w) = exp(-sigma^2 w^2 / 2) prod_k E e^{i w t_k x} at the ascending
+    frequencies w >= 0, the per-tap factors multiplied in over the live
+    frequencies of _live, in the tap blocks of _tap_phases.
+    """
+    gauss, live = _live(sigma, omega)
+    phi = gauss.astype(complex)
+    head = phi[:live]
+    for _, arg in _tap_phases(np.asarray(taps, dtype=float), atoms, omega, live):
         # (k, |A|, w) -> (k, w): each tap's E e^{i w t x}, then their product
-        live *= (probs @ np.cos(arg) + 1j * (probs @ np.sin(arg))).prod(axis=0)
+        head *= (probs @ np.cos(arg) + 1j * (probs @ np.sin(arg))).prod(axis=0)
     return phi
 
 
@@ -416,6 +432,48 @@ def two_tap_gap_leading(q: float, x: InputDistribution) -> float:
 # genie MMSE lower bound
 
 
+def _block_mmse(coeffs: np.ndarray, atoms: np.ndarray, probs: np.ndarray, root_snr: float, grid):
+    """E Z^2 - E[(E[Z|y])^2] for Z = sum_k c_k x_k observed as y = C + N(0,1),
+    C = root_snr Z, on the FFT grid (lo, dy, n) of C + N(0,1) (_fft_grid).
+
+    With t_k = root_snr c_k, the density p of y has the transform
+    P(w) = e^{-w^2/2} prod_k f_k(w), f_k(w) = E e^{i w t_k x}, and
+    num(y) = E[C | y] p(y) the transform D(w) = e^{-w^2/2} E[C e^{i w C}],
+    which the product rule builds tap by tap: D <- D f_k + P g_k, then
+    P <- P f_k, with g_k(w) = E[t_k x e^{i w t_k x}]. Both are inverted on
+    the grid, and E[(E[Z|y])^2] is the trapezoid sum dy sum p m^2 over the
+    points where p > 0, with m = num/p clipped to the range of C, where
+    E[C|y] lies, and divided by root_snr. Inverting D directly keeps num
+    free of the cancellation of Tweedie's y p + p' at low SNR, the clip
+    keeps the FFT's round-off in the empty tails, where both p and num are
+    noise, from blowing up in the ratio, and working in units of Z keeps
+    E Z^2 from underflowing at a subnormal SNR.
+    """
+    _, dy, n = grid
+    taps = root_snr * coeffs
+    omega = _frequencies(n, dy)
+    gauss, live = _live(1.0, omega)
+    p_hat = gauss.astype(complex)
+    d_hat = np.zeros_like(p_hat)
+    p_live, d_live = p_hat[:live], d_hat[:live]
+    weighted = probs * atoms
+    for t, arg in _tap_phases(taps, atoms, omega, live):
+        cos, sin = np.cos(arg), np.sin(arg)
+        f = probs @ cos + 1j * (probs @ sin)
+        g = t[:, None] * (weighted @ cos + 1j * (weighted @ sin))
+        for fk, gk in zip(f, g):
+            d_live *= fk
+            d_live += p_live * gk
+            p_live *= fk
+    p = _invert(p_hat, omega, 0.0, dy, n)
+    num = _invert(d_hat, omega, 0.0, dy, n)
+    mask = p > 0.0
+    p = p[mask]
+    per_tap = np.multiply.outer(taps, atoms)
+    mean = np.clip(num[mask] / p, per_tap.min(axis=1).sum(), per_tap.max(axis=1).sum()) / root_snr
+    return float(coeffs @ coeffs) * float(probs @ (atoms * atoms)) - dy * float(p @ (mean * mean))
+
+
 def genie_mmse_lower(
     x: InputDistribution,
     coeffs,
@@ -428,16 +486,32 @@ def genie_mmse_lower(
     Each partition block X_m is revealed through its own observation with
     noise variance sigma_m^2 (sum b_m^2 sigma_m^2 = 1); conditioning can
     only decrease the MMSE, giving sum_m b_m^2 mmse_{X_m}(gamma/sigma_m^2).
-    A block with sigma_m = 0 is revealed noiselessly and contributes 0.
+    A block with sigma_m = 0 is revealed noiselessly and contributes 0; at
+    gamma = 0 a block contributes its variance.
+
+    Each block's MMSE is that of Z_m = sum_{k in m} (a_k / b_m) xbar_k at
+    SNR gamma/sigma_m^2, by _block_mmse on one FFT grid (_fft_grid, 1/32
+    noise deviation steps, 16 deviations of padding). Nothing is
+    enumerated: a block of k taps costs O(k |A| grid) time and O(grid)
+    memory, whatever |A|^k. Its rounding grows with the grid's length L
+    (in noise deviations) and the largest |Z_m|, about eps L max|Z_m|^2.
+    Every block's grid is sized before any FFT, and one past _GRID_MAX
+    points, or a block SNR past the double range, raises BudgetExceeded;
+    inputs are checked before that, and non-finite coefficients or sigmas,
+    or a negative or non-finite gamma, raise DomainError.
     """
+    if not 0.0 <= gamma < math.inf:
+        raise DomainError(f"gamma must be nonnegative and finite, got {gamma!r}")
     a = np.asarray(coeffs, dtype=float)
+    sig2 = np.asarray(sigmas, dtype=float) ** 2
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(sig2))):
+        raise DomainError("coefficients and sigmas must be finite")
     if abs(float(a @ a) - 1.0) > 1e-9:
         raise DomainError("coefficients must satisfy sum a_k^2 = 1")
     blocks = [np.asarray(b, dtype=int) for b in partition]
     flat = np.concatenate(blocks) if blocks else np.zeros(0, dtype=int)
     if sorted(flat.tolist()) != list(range(a.size)):
         raise DomainError("partition must cover each tap index exactly once")
-    sig2 = np.asarray(sigmas, dtype=float) ** 2
     if sig2.size != len(blocks) or np.any(sig2 < 0.0):
         raise DomainError("one sigma per block, all nonnegative")
     b_sq = np.array([float(a[blk] @ a[blk]) for blk in blocks])
@@ -445,19 +519,22 @@ def genie_mmse_lower(
         raise DomainError("noise split must satisfy sum b_m^2 sigma_m^2 = 1")
     xbar = x.normalized_atoms
     probs = np.asarray(x.probs)
-    bound = 0.0
-    for blk, bm_sq, s2 in zip(blocks, b_sq, sig2):
-        if bm_sq == 0.0 or s2 == 0.0:
-            continue
-        vals = np.zeros(1)
-        wts = np.ones(1)
-        for k in blk:
-            vals = (vals[:, None] + a[k] * xbar[None, :]).ravel()
-            wts = (wts[:, None] * probs[None, :]).ravel()
-            if vals.size > 4096:
-                vals, wts = consolidate_atoms(vals, wts)
-        bound += bm_sq * discrete_mmse(vals / math.sqrt(bm_sq), wts, gamma / s2)
-    return bound
+    # (Z_m's coefficients, b_m^2, the root of Z_m's SNR) of each block
+    # observed in noise
+    observed = [
+        (a[blk] / math.sqrt(b2), b2, math.sqrt(gamma / float(s2)))
+        for blk, b2, s2 in zip(blocks, b_sq, sig2)
+        if b2 != 0.0 and s2 != 0.0
+    ]
+    if gamma == 0.0:
+        var = float(probs @ (xbar * xbar)) - float(probs @ xbar) ** 2
+        return float(sum(b2 * var for _, b2, _ in observed))
+    if any(root == math.inf for _, _, root in observed):
+        raise BudgetExceeded("a block's SNR gamma/sigma_m^2 overflows: its grid has no bound")
+    grids = [_fft_grid(root * z, xbar, 1.0) for z, _, root in observed]
+    return float(
+        sum(b2 * _block_mmse(z, xbar, probs, root, grid) for (z, b2, root), grid in zip(observed, grids))
+    )
 
 
 def genie_singletons(x: InputDistribution, coeffs, gamma: float) -> float:

@@ -303,7 +303,10 @@ def cmd_figure(args) -> int:
     channel, inp, grid, simulated = _FIGURES[name]
     rate = None
     if simulated:
-        rate = (5 * 10**8, 20, args.seed) if args.full else (10**7, 10, args.seed)
+        seed = 0 if args.seed is None else args.seed
+        rate = (5 * 10**8, 20, seed) if args.full else (10**7, 10, seed)
+    elif args.seed is not None:
+        raise DomainError(f"{name} simulates nothing, so it takes no --seed")
     n_symbols, n_seeds, seed = rate or (None, None, None)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -412,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("figure", help="reproduce a reference figure's data")
     sp.add_argument("name", help="fig1a|fig1b|fig2a|fig2b|fig3|fig4")
     sp.add_argument("--out-dir", default="figures")
-    sp.add_argument("--seed", type=int, default=0, help="rate simulation seed (fig2a/fig2b)")
+    sp.add_argument("--seed", type=int, default=None, help="rate simulation seed (fig2a/fig2b; default 0)")
     sp.add_argument("--full", action="store_true", help="paper-scale rate simulation (fig2a/fig2b)")
     sp.set_defaults(func=cmd_figure)
 

@@ -20,11 +20,7 @@ import numpy as np
 from scipy.special import erfcx
 
 from .errors import DomainError
-from .gaussmix import (
-    consolidate_atoms,
-    mixture_conditional_second_moment,
-    mixture_entropy,
-)
+from .gaussmix import mixture_conditional_second_moment, mixture_entropy
 
 _HALF_LOG_2PIE = 0.5 * math.log(2.0 * math.pi * math.e)
 
@@ -156,20 +152,6 @@ def mmse(x: InputDistribution, gamma: float) -> float:
     )
     # 1 - second rounds to just below 0 once the true mmse is ~1e-15
     return min(max(1.0 - second, 0.0), 1.0)
-
-
-def discrete_mmse(values, probs, gamma: float) -> float:
-    """MMSE of an arbitrary discrete zero-mean law z from sqrt(gamma) z + n.
-
-    Duplicate values are consolidated first. Not normalized: returns
-    E z^2 - E[(E[z|y])^2].
-    """
-    vals, wts = consolidate_atoms(values, probs)
-    ez2 = float(np.dot(vals * vals, wts))
-    if gamma == 0.0:
-        mean = float(np.dot(vals, wts))
-        return ez2 - mean * mean
-    return ez2 - mixture_conditional_second_moment(vals, wts, gamma)
 
 
 def log_q_integral(s: float) -> float:

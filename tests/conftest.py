@@ -7,7 +7,16 @@ import isirate.gaussmix
 from isirate.bounds import _CF_BLOCK, _MC_STREAMS, _density_tables
 from isirate.channel import ChannelResponse, transfer_power
 from isirate.errors import BudgetExceeded, DomainError, NonConvergent
-from isirate.gaussmix import _NODE_BLOCK, _TAIL_SIGMAS, _WINDOW_SIGMAS, _refine, kernel_route, mixture_entropy
+from isirate.gaussmix import (
+    _ENTROPY_ABS_TOL,
+    _MOMENT_ABS_TOL,
+    _NODE_BLOCK,
+    _TAIL_SIGMAS,
+    _WINDOW_SIGMAS,
+    _mixture_evaluator,
+    _mixture_integral,
+    _refine,
+)
 from isirate.montecarlo import stream_rng
 from isirate.scalar import mutual_info
 
@@ -251,12 +260,192 @@ def enumerate_mixture(taps, atoms, probs, budget: int, mass_budget: float) -> tu
     return means[order], w / w.sum(), dropped
 
 
+# Sums of Gaussian kernels by the Hermite expansion of the fast Gauss
+# transform: the oracle's route for mixtures of many components, which the
+# library takes from characteristic functions instead. Boxes of half-width
+# r sqrt(2) sigma, p coefficients per box, and components per block of the
+# moment pass (256 KB of float64). Cramer's inequality
+# |H_n(t)| exp(-t^2/2) <= K 2^(n/2) sqrt(n!), K < 1.09, bounds the dropped
+# terms n >= p per unit mass by
+# K (sqrt2 r)^p / sqrt(p!) / (1 - sqrt2 r / sqrt(p + 1)).
+HERMITE_RADIUS = 0.025
+HERMITE_ORDER = 16
+MOMENT_BLOCK = 2**15
+
+
+def hermite_evaluator(
+    means_sorted: np.ndarray,
+    weights_sorted: np.ndarray,
+    sigma: float,
+    value_coeff: np.ndarray | None = None,
+):
+    """The kernel sums of _mixture_evaluator, ``evaluate(nodes) -> (p,
+    num)``, by the Hermite expansion of the fast Gauss transform
+    (Greengard and Strain, SIAM J. Sci. Stat. Comput. 12, 1991).
+
+    With h = sqrt(2) sigma, the sorted means fall into occupied boxes of
+    width 2 r h (r = HERMITE_RADIUS); a box centred at b holds the
+    components with |d_j| <= r, d_j = (c_j - b)/h, and the moments
+    A_n = sum_j w_j d_j^n / n!, n < p = HERMITE_ORDER. Since
+    exp(-(t - d)^2) = exp(-t^2) sum_n H_n(t) d^n / n!, a node y sees the
+    box as exp(-t^2) sum_n A_n H_n(t), t = (y - b)/h, with H_n from the
+    three-term recurrence. By Cramer's inequality the terms n >= p sum to
+    at most 1.4e-30 per unit of box mass, relative to the kernel's peak
+    (the bound is given where HERMITE_RADIUS is set). The moments are
+    accumulated over blocks of MOMENT_BLOCK components, so nothing is
+    allocated over the span or the whole mixture but the (at most N)
+    boxes; ``evaluate`` works in (nodes x boxes) tiles of half the
+    library's tile budget and skips boxes whose centre lies further than
+    _WINDOW_SIGMAS sigma (plus half a box) from a node block. What limits
+    it is rounding, as on the tiles: a value near e^-E of the kernel peak
+    comes from exp of an exponent near -E, so it is good to about E eps
+    relative, and the narrow boxes keep the series' own conditioning,
+    e^(4 |t| r), at most 2.7 inside the window.
+    """
+    h = math.sqrt(2.0) * sigma
+    width = 2.0 * HERMITE_RADIUS * h
+    origin = float(means_sorted[0])
+    order = HERMITE_ORDER
+    keys, moments = [], []
+    for c0 in range(0, means_sorted.size, MOMENT_BLOCK):
+        c = means_sorted[c0 : c0 + MOMENT_BLOCK]
+        key = np.floor((c - origin) / width)
+        starts = np.flatnonzero(np.append(True, key[1:] != key[:-1]))
+        d = c - (origin + (key + 0.5) * width)
+        d /= h
+        w = weights_sorted[c0 : c0 + c.size]
+        powers = [w.copy()] if value_coeff is None else [w.copy(), value_coeff[c0 : c0 + c.size] * w]
+        a = np.empty((len(powers), order, starts.size))
+        for n in range(order):
+            for k, pw in enumerate(powers):
+                if n:
+                    pw *= d
+                np.add.reduceat(pw, starts, out=a[k, n])
+        keys.append(key[starts])
+        moments.append(a)
+    key = np.concatenate(keys)
+    # a box cut by a block edge appears once per block: merge its parts
+    starts = np.flatnonzero(np.append(True, key[1:] != key[:-1]))
+    a = np.add.reduceat(np.concatenate(moments, axis=2), starts, axis=2)
+    a /= np.array([math.factorial(n) for n in range(order)])[:, None]
+    centres = origin + (key[starts] + 0.5) * width
+    coef = list(a)
+    norm = 1.0 / (sigma * np.sqrt(2.0 * np.pi))
+    reach = _WINDOW_SIGMAS * sigma + 0.5 * width
+    budget = isirate.gaussmix._EVAL_BUDGET // 2
+    rows = min(_NODE_BLOCK, budget)
+    size = min(budget, rows * centres.size)
+    t_buf, g_buf, f_buf, s_buf = (np.empty(size) for _ in range(4))
+
+    def evaluate(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        out = np.zeros((len(coef), nodes.size))
+        for start in range(0, nodes.size, rows):
+            blk = nodes[start : start + rows, None]
+            nb = blk.shape[0]
+            acc = out[:, start : start + nb]
+            b0 = centres.searchsorted(float(blk[0, 0]) - reach)
+            b1 = centres.searchsorted(float(blk[-1, 0]) + reach)
+            step = budget // nb
+            for k0 in range(b0, b1, step):
+                k1 = min(k0 + step, b1)
+                t2 = t_buf[: nb * (k1 - k0)].reshape(nb, k1 - k0)
+                prev, cur, tmp = (buf[: t2.size].reshape(t2.shape) for buf in (g_buf, f_buf, s_buf))
+                # y - c rounds relative to itself, not to |y| or |c|
+                np.subtract(blk, centres[k0:k1], out=t2)
+                t2 *= 2.0 / h
+                # prev = exp(-t^2) H_0(t), cur = exp(-t^2) H_1(t)
+                np.multiply(t2, t2, out=prev)
+                prev *= -0.25
+                np.exp(prev, out=prev)
+                np.multiply(t2, prev, out=cur)
+                for row, c in zip(acc, coef):
+                    row += prev @ c[0, k0:k1]
+                    row += cur @ c[1, k0:k1]
+                for n in range(2, order):
+                    # H_n = 2t H_{n-1} - 2(n-1) H_{n-2}, into prev's buffer
+                    np.multiply(t2, cur, out=tmp)
+                    prev *= 2.0 * (n - 1)
+                    np.subtract(tmp, prev, out=prev)
+                    prev, cur = cur, prev
+                    for row, c in zip(acc, coef):
+                        row += cur @ c[n, k0:k1]
+        out *= norm
+        return out[0], (None if value_coeff is None else out[1])
+
+    return evaluate
+
+
+def kernel_route(n_components: int, span: float, sigma: float) -> str:
+    """The kernel route of a mixture of ``n_components`` Gaussians of
+    deviation sigma whose means span ``span``: ``"hermite"`` when the
+    components outnumber the coefficients of the Hermite expansion,
+    HERMITE_ORDER times the boxes of width 2 HERMITE_RADIUS sqrt(2) sigma
+    that the span covers, and ``"tiles"`` otherwise."""
+    boxes = span / (2.0 * HERMITE_RADIUS * math.sqrt(2.0) * sigma)
+    # the first test keeps an infinite box count out of floor
+    if boxes < n_components and n_components > HERMITE_ORDER * (math.floor(boxes) + 1):
+        return "hermite"
+    return "tiles"
+
+
+def routed_integral(means, weights, sigma: float, integrand, abs_tol: float, values=None):
+    """(integral, err) of gaussmix._mixture_integral with the kernel sums
+    on the route of kernel_route: the Hermite expansion for mixtures of
+    more components than it has coefficients, the library's tiles
+    otherwise."""
+    route = kernel_route(means.size, float(means.max() - means.min()), sigma)
+    evaluator = hermite_evaluator if route == "hermite" else _mixture_evaluator
+    return _mixture_integral(means, weights, sigma, integrand, abs_tol, values, evaluator)
+
+
+# Atoms closer than this, relative to max(1, largest |value|), are merged.
+ATOM_TOL = 1e-12
+
+
+def consolidate_atoms(values, weights) -> tuple[np.ndarray, np.ndarray]:
+    """Merge duplicate atoms (within ATOM_TOL of the largest |value|, or
+    of 1) of a discrete law."""
+    vals = np.asarray(values, dtype=float).ravel()
+    wts = np.asarray(weights, dtype=float).ravel()
+    order = np.argsort(vals, kind="stable")
+    vals, wts = vals[order], wts[order]
+    scale = max(1.0, np.abs(vals).max(initial=0.0))
+    new_group = np.ones(vals.size, dtype=bool)
+    new_group[1:] = np.diff(vals) > ATOM_TOL * scale
+    group = np.cumsum(new_group) - 1
+    n = group[-1] + 1 if vals.size else 0
+    merged_w = np.zeros(n)
+    np.add.at(merged_w, group, wts)
+    merged_v = np.zeros(n)
+    np.add.at(merged_v, group, vals * wts)
+    merged_v /= merged_w
+    return merged_v, merged_w
+
+
+def discrete_mmse(values, probs, gamma: float) -> float:
+    """MMSE of an arbitrary discrete zero-mean law z from sqrt(gamma) z + n,
+    E z^2 - E[(E[z|y])^2], by mixture quadrature in real space over the
+    consolidated atoms (routed_integral): the oracle of the genie bound's
+    block MMSEs, which bounds.genie_mmse_lower takes from characteristic
+    functions."""
+    vals, wts = consolidate_atoms(values, probs)
+    ez2 = float(np.dot(vals * vals, wts))
+    if gamma == 0.0:
+        mean = float(np.dot(vals, wts))
+        return ez2 - mean * mean
+    second, _ = routed_integral(
+        np.sqrt(gamma) * vals, wts, 1.0, lambda p, num: num * num / p, _MOMENT_ABS_TOL, vals
+    )
+    return ez2 - second
+
+
 def hermite_truncation() -> float:
-    """Cramer's bound on the Hermite terms gaussmix drops, per unit mass
-    relative to the kernel peak: K (sqrt2 r)^p / sqrt(p!) / (1 - sqrt2 r /
-    sqrt(p + 1)), K = 1.09, at the module's radius r and order p."""
-    r2 = math.sqrt(2.0) * isirate.gaussmix._HERMITE_RADIUS
-    order = isirate.gaussmix._HERMITE_ORDER
+    """Cramer's bound on the Hermite terms hermite_evaluator drops, per
+    unit mass relative to the kernel peak: K (sqrt2 r)^p / sqrt(p!) /
+    (1 - sqrt2 r / sqrt(p + 1)), K = 1.09, at HERMITE_RADIUS r and
+    HERMITE_ORDER p."""
+    r2 = math.sqrt(2.0) * HERMITE_RADIUS
+    order = HERMITE_ORDER
     return 1.09 * r2**order / math.sqrt(math.factorial(order)) / (1.0 - r2 / math.sqrt(order + 1.0))
 
 
@@ -282,7 +471,7 @@ def i_mmse_enumerated(design, x) -> tuple[float, float]:
     mixture entropies: the oracle of bounds.i_mmse_exact.
 
     Both terms of I = h(x_0 + mu_1 + m) - h(mu_1 + m) are differential
-    entropies, by gaussmix.mixture_entropy, of Gaussian mixtures enumerated
+    entropies, by routed_integral, of Gaussian mixtures enumerated
     over the residual taps, each pruned of at most half of PRUNE_MASS.
     Raises BudgetExceeded when either mixture keeps more than ENUM_BUDGET
     components. A renormalised drop of mass d moves each entropy by
@@ -297,8 +486,9 @@ def i_mmse_enumerated(design, x) -> tuple[float, float]:
     taps1 = design.residual
     m0, w0, drop0 = enumerate_mixture(np.concatenate(([1.0], taps1)), atoms, probs, ENUM_BUDGET, 0.5 * PRUNE_MASS)
     m1, w1, drop1 = enumerate_mixture(taps1, atoms, probs, ENUM_BUDGET, 0.5 * PRUNE_MASS)
-    h0, e0 = mixture_entropy(m0, w0, sigma)
-    h1, e1 = mixture_entropy(m1, w1, sigma)
+    entropy = lambda p, _: -p * np.log(p)
+    h0, e0 = routed_integral(m0, w0, sigma, entropy, _ENTROPY_ABS_TOL)
+    h1, e1 = routed_integral(m1, w1, sigma, entropy, _ENTROPY_ABS_TOL)
     eps = np.finfo(float).eps
     err = e0 + e1 + 50.0 * (drop0 + drop1) + 16.0 * eps * (abs(h0) + abs(h1))
     return h0 - h1, err + entropy_truncation(m0, sigma) + entropy_truncation(m1, sigma)

@@ -37,24 +37,25 @@ import isirate.channel
 from isirate.channel import ChannelResponse, channel_b, jeong, jeong_spaced, spectral_summary
 from isirate.equalizer import design_mmse_dfe
 from isirate.errors import BudgetExceeded, DomainError, NonConvergent
-from isirate.gaussmix import kernel_route
 from isirate.montecarlo import _thresholds, stream_rng
 from isirate.scalar import (
     InputDistribution,
     bpsk,
-    discrete_mmse,
     make_skewed_binary,
     make_trinary,
     mmse,
     mutual_info,
+    parse_input_spec,
 )
 
 import conftest
 from conftest import (
     char_fn_full_grid,
+    discrete_mmse,
     enumerate_mixture,
     i_mmse_enumerated,
     i_mmse_mc_one_shot,
+    kernel_route,
     quadrature_summary,
     sample_indices,
     weight_floor,
@@ -289,8 +290,8 @@ class TestImmseExact:
         routes = lambda: [kernel_route(m.size, m[-1] - m[0], sigma) for m in mixtures]
         assert routes() == ["hermite", "hermite"]
         ref, ref_err = i_mmse_enumerated(d, x)
-        monkeypatch.setattr(isirate.gaussmix, "_HERMITE_RADIUS", radius)
-        monkeypatch.setattr(isirate.gaussmix, "_HERMITE_ORDER", order)
+        monkeypatch.setattr(conftest, "HERMITE_RADIUS", radius)
+        monkeypatch.setattr(conftest, "HERMITE_ORDER", order)
         assert routes() == ["hermite", "hermite"]
         assert abs(i_mmse_enumerated(d, x)[0] - ref) <= ref_err
 
@@ -690,6 +691,18 @@ def brute_force_mmse(x, coeffs, gamma):
     return discrete_mmse(vals, wts, gamma)
 
 
+def genie_rounding(x, coeffs, gamma):
+    """Rounding model of one genie block of unit noise, eps L Z^2: the grid
+    of _fft_grid has length L (in noise sigmas), and each of its points
+    carries the FFT's eps of the density times E[Z|y]^2 <= Z^2, Z the
+    largest |sum a_k xbar_k|. The largest error against the oracle on the
+    blocks of TestGenieBound was 0.025 of it."""
+    a = np.asarray(coeffs, dtype=float)
+    z = float(np.abs(a).sum() * np.abs(x.normalized_atoms).max())
+    _, dy, n = _fft_grid(math.sqrt(gamma) * a, x.normalized_atoms, 1.0)
+    return np.finfo(float).eps * n * dy * z * z
+
+
 class TestGenieBound:
     def test_single_tap_exact(self):
         val = genie_mmse_lower(bpsk(), [1.0], 1.3, [[0]], [1.0])
@@ -744,6 +757,83 @@ class TestGenieBound:
             genie_mmse_lower(bpsk(), [0.6, 0.8], 1.0, [[0]], [1.0])
         with pytest.raises(DomainError):
             genie_mmse_lower(bpsk(), [0.6, 0.8], 1.0, [[0], [1]], [2.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "coeffs, gamma, sigmas",
+        [
+            ([0.6, math.nan], 1.0, [1.0, 1.0]),
+            ([0.6, math.inf], 1.0, [1.0, 1.0]),
+            ([0.6, 0.8], 1.0, [1.0, math.nan]),
+            ([0.6, 0.8], 1.0, [math.inf, 1.0]),
+            ([0.6, 0.8], -1.0, [1.0, 1.0]),
+            ([0.6, 0.8], math.nan, [1.0, 1.0]),
+            ([0.6, 0.8], math.inf, [1.0, 1.0]),
+        ],
+    )
+    def test_non_finite_inputs_refused_up_front(self, monkeypatch, coeffs, gamma, sigmas):
+        # NaN passes every sum-of-squares check, since NaN compares False:
+        # it must be refused before any grid is sized
+        def no_grid(*args):
+            raise AssertionError("grid sized for a refused input")
+
+        monkeypatch.setattr(isirate.bounds, "_fft_grid", no_grid)
+        with pytest.raises(DomainError, match="finite|gamma"):
+            genie_mmse_lower(bpsk(), coeffs, gamma, [[0], [1]], sigmas)
+
+    def test_zero_snr_gives_block_variances(self):
+        assert genie_mmse_lower(bpsk(), [0.6, 0.8], 0.0, [[0], [1]], [1.0, 1.0]) == 1.0
+        x = make_trinary(0.3)
+        a = np.array([0.6, 0.48, 0.64])
+        # the noiseless block of one_cluster contributes 0 at any gamma
+        assert genie_one_cluster(x, a, 0.0, [0, 1]) == pytest.approx(0.6**2 + 0.48**2, abs=1e-15)
+        # a subnormal gamma is not 0, but E Z^2 must not underflow with it
+        for gamma in (1e-300, 1e-320, 5e-324):
+            assert genie_one_cluster(x, a, gamma, [0, 1]) == pytest.approx(0.6**2 + 0.48**2, abs=1e-15)
+
+    @pytest.mark.parametrize("sig2_1", [1e-10, 1e-320])
+    def test_grid_over_budget_refused_before_any_fft(self, monkeypatch, sig2_1):
+        # block 0 fits a 1024-point grid; block 1, at gamma / sigma^2 = 1e10,
+        # would need 2^23 points, and at 1e320 its SNR overflows. Every grid
+        # is sized first, so neither block is computed and nothing is
+        # allocated over a grid
+        blocks = []
+        monkeypatch.setattr(isirate.bounds, "_block_mmse", lambda *args: blocks.append(args))
+        sig2 = [(1.0 - 0.64 * sig2_1) / 0.36, sig2_1]
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded, match="grid"):
+                genie_mmse_lower(bpsk(), [0.6, 0.8], 1.0, [[0], [1]], np.sqrt(sig2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert blocks == []
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("n_taps", [8, 10, 12])
+    @pytest.mark.parametrize("name", ["bpsk", "trinary(0.3)", "skewed_binary(0.1)"])
+    def test_block_matches_real_space_oracle(self, name, n_taps):
+        # one block of all taps at unit noise: the bound is the MMSE of
+        # Z = sum a_k xbar_k, against the mixture quadrature over all
+        # |A|^n_taps patterns (conftest.discrete_mmse), which shares no code
+        # with the characteristic-function route
+        x = parse_input_spec(name)
+        a = np.random.default_rng(100 + n_taps).standard_normal(n_taps)
+        a /= np.sqrt(a @ a)
+        for gamma in 10.0 ** np.arange(-3.0, 4.0):
+            err = abs(genie_mmse_lower(x, a, gamma, [range(n_taps)], [1.0]) - brute_force_mmse(x, a, gamma))
+            assert err <= genie_rounding(x, a, gamma), gamma
+            if gamma <= 100.0:
+                assert err <= 1e-12, gamma
+
+    def test_skewed_block_far_past_saturation(self):
+        # skewed_binary(0.002) at gamma 1e4: E C^2 - E[(E[C|y])^2] cancels
+        # to 1e-8 of E C^2 on both routes, which stay within the rounding
+        # model (5.6e-9 here)
+        x = make_skewed_binary(0.002)
+        a = np.random.default_rng(112).standard_normal(12)
+        a /= np.sqrt(a @ a)
+        err = abs(genie_mmse_lower(x, a, 1e4, [range(12)], [1.0]) - brute_force_mmse(x, a, 1e4))
+        assert err <= genie_rounding(x, a, 1e4)
 
 
 class TestIeBounds:

@@ -320,9 +320,11 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("name", ["fig1a", "fig1b", "fig2a", "fig2b", "fig3", "fig4"])
     def test_figure_route(self, name, tmp_path, monkeypatch, capsys):
-        # every figure takes the exact route and records it; the simulation
-        # and the I_MMSE evaluation are stubbed, only the wiring is under test
+        # every figure takes the exact route and records it, and a simulated
+        # one seed 0 by default; the simulation and the I_MMSE evaluation
+        # are stubbed, only the wiring is under test
         routes = []
+        seeds = []
         report = isirate.cli.bound_report
 
         def fake_report(ch, x, rho, i_mmse_method, **kwargs):
@@ -330,6 +332,7 @@ class TestSubcommands:
             return report(ch, x, rho, i_mmse_method="none")
 
         def fake_rate(*args):
+            seeds.append(args[-1])
             return RateEstimate(value=0.0, std_error=0.0, n_samples=1, n_seeds=1, seeds=((0, 0),))
 
         monkeypatch.setattr(isirate.cli, "bound_report", fake_report)
@@ -338,6 +341,9 @@ class TestSubcommands:
         assert routes and set(routes) == {"exact"}
         manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
         assert manifest["i_mmse_method"] == "exact"
+        simulated = name in ("fig2a", "fig2b")
+        assert manifest["seed"] == (0 if simulated else None)
+        assert seeds == ([0] * len(routes) if simulated else [])
 
     @pytest.mark.parametrize("name", ["fig1a", "fig1b", "fig2a", "fig2b", "fig3", "fig4"])
     def test_figure_is_its_bounds_sweep(self, name, tmp_path, monkeypatch, capsys):
@@ -355,13 +361,14 @@ class TestSubcommands:
 
         monkeypatch.setattr(isirate.bounds, "i_mmse_exact", fake_exact)
         monkeypatch.setattr(isirate.cli, "estimate_rate", fake_rate)
-        assert main(["figure", name, "--out-dir", str(tmp_path), "--seed", "5"]) == 0
+        simulated = name in ("fig2a", "fig2b")
+        seed = ["--seed", "5"] if simulated else []
+        assert main(["figure", name, "--out-dir", str(tmp_path)] + seed) == 0
         manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
         out = tmp_path / "bounds.csv"
         assert _rerun_as_bounds(manifest, out) == 0
         bounds = out.read_text().splitlines()
         figure = (tmp_path / f"{name}.csv").read_text().splitlines()
-        simulated = name in ("fig2a", "fig2b")
         assert manifest["n_symbols"] == (10**7 if simulated else None)
         assert manifest["n_seeds"] == (10 if simulated else None)
         assert manifest["seed"] == (5 if simulated else None)
@@ -370,6 +377,13 @@ class TestSubcommands:
         assert figure[0] == BOUND_HEADER + rate
         n = len(bounds[0].split(","))
         assert [",".join(line.split(",")[:n]) for line in figure] == bounds
+
+    def test_figure_seed_refused_where_nothing_is_simulated(self, tmp_path, capsys):
+        # fig3 simulates nothing, so a seed would be ignored: exit 2, no file
+        out_dir = tmp_path / "out"
+        assert main(["figure", "fig3", "--out-dir", str(out_dir), "--seed", "5"]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_figures_3_and_4_resolve_the_sign_of_the_gap(self, tmp_path, capsys):
         # the paper's claim on BPSK: I_MMSE - I_SL < 0 from -12 to 3 dB and

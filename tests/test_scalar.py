@@ -12,10 +12,10 @@ from isirate.equalizer import design_mmse_dfe
 from isirate.errors import DomainError, NonConvergent
 import isirate.gaussmix
 from isirate.gaussmix import (
-    _hermite_evaluator,
+    _ENTROPY_ABS_TOL,
+    _MOMENT_ABS_TOL,
     _mixture_evaluator,
     _refine,
-    kernel_route,
     mixture_conditional_second_moment,
     mixture_entropy,
 )
@@ -32,15 +32,19 @@ from isirate.scalar import (
     parse_input_spec,
 )
 
+import conftest
 from conftest import (
     ENUM_BUDGET,
     PRUNE_MASS,
     enumerate_mixture,
     entropy_truncation,
+    hermite_evaluator,
     hermite_truncation,
+    kernel_route,
     mixture_eval_dense,
     mmse_binary,
     q_tail,
+    routed_integral,
 )
 
 PRESETS = {
@@ -418,7 +422,7 @@ def _assert_hermite_matches_dense(nodes, means, weights, sigma, values):
     eps = np.finfo(float).eps
     peak = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
     for coeff in (None, values):
-        p, num = _hermite_evaluator(means, weights, sigma, coeff)(nodes)
+        p, num = hermite_evaluator(means, weights, sigma, coeff)(nodes)
         p_ref, num_ref = mixture_eval_dense(nodes, means, weights, sigma, coeff)
         live = p_ref > 1e-300
         assert live.any()
@@ -486,14 +490,14 @@ class TestHermiteKernel:
     def test_truncation_within_its_bound(self, monkeypatch, radius, order):
         # wider boxes and fewer terms make the truncation visible: it stays
         # within the bound per unit mass times the kernel peak
-        monkeypatch.setattr(isirate.gaussmix, "_HERMITE_RADIUS", radius)
-        monkeypatch.setattr(isirate.gaussmix, "_HERMITE_ORDER", order)
+        monkeypatch.setattr(conftest, "HERMITE_RADIUS", radius)
+        monkeypatch.setattr(conftest, "HERMITE_ORDER", order)
         r2 = math.sqrt(2.0) * radius
         bound = 1.09 * r2**order / math.sqrt(math.factorial(order)) / (1.0 - r2 / math.sqrt(order + 1.0))
         rng = np.random.default_rng(9)
         means, weights, _ = _random_mixture(rng, 20000, 4.0)
         nodes = np.linspace(means[0] - 10.0, means[-1] + 10.0, 777)
-        p, _ = _hermite_evaluator(means, weights, 1.0)(nodes)
+        p, _ = hermite_evaluator(means, weights, 1.0)(nodes)
         p_ref, _ = mixture_eval_dense(nodes, means, weights, 1.0)
         err = np.abs(p - p_ref).max() * math.sqrt(2.0 * math.pi)
         assert 1e3 * np.finfo(float).eps < err <= bound
@@ -523,15 +527,24 @@ class TestKernelRoute:
         assert entropy_truncation(np.linspace(0.0, 1.0, 16 * 15), 1.0) == 0.0
         assert 0.0 < entropy_truncation(np.linspace(0.0, 1.0, 16 * 15 + 1), 1.0) < 1e-25
 
-    def test_scalar_integrals_equal_a_tiles_only_run(self, monkeypatch):
+    def test_scalar_integrals_equal_a_tiles_only_run(self):
+        # the oracle's rule keeps every mixture of I_x and mmse_x on the
+        # tiles, the library's one route, so its integrals are the
+        # library's bit for bit
         xs = list(PRESETS.values()) + [
             InputDistribution((-2.0, -1.0, 1.0, 3.0), (0.2, 0.3, 0.4, 0.1))
         ]
-        gammas = [1e-6, 1e-3, 0.1, 1.0, 10.0, 1e3, 1e7]
-        got = [(mutual_info(x, g), mmse(x, g)) for x in xs for g in gammas]
-        monkeypatch.setattr(isirate.gaussmix, "_hermite_evaluator", None)
-        monkeypatch.setattr(isirate.gaussmix, "_HERMITE_ORDER", 2**62)
-        assert [(mutual_info(x, g), mmse(x, g)) for x in xs for g in gammas] == got
+        for x in xs:
+            atoms, probs = x.normalized_atoms, np.asarray(x.probs)
+            for g in [1e-6, 1e-3, 0.1, 1.0, 10.0, 1e3, 1e7]:
+                means = math.sqrt(g) * atoms
+                assert kernel_route(means.size, float(means.max() - means.min()), 1.0) == "tiles"
+                entropy = routed_integral(means, probs, 1.0, lambda p, _: -p * np.log(p), _ENTROPY_ABS_TOL)
+                assert entropy == mixture_entropy(means, probs, 1.0)
+                second, _ = routed_integral(
+                    means, probs, 1.0, lambda p, num: num * num / p, _MOMENT_ABS_TOL, atoms
+                )
+                assert second == mixture_conditional_second_moment(atoms, probs, g)
 
 
 class TestMixtureInputs:
