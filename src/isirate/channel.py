@@ -13,10 +13,10 @@ sum d_k^2 / K^2 with |H| = K |H_min| and d that of 1/H_min.
 
 Only the factorisation depends on rho. Everything else is SNR-free: the
 leading coefficient and roots, the reflected roots and gain K, the
-autocorrelation, <log |H|^2>, <log^2 |H|^2>, the ZF-LE gain and the
-minimum-phase and unit-energy forms. Each is a cached property of the
-frozen ChannelResponse, computed once per object on first access; the
-cached arrays are read-only.
+autocorrelation, <log |H|^2>, the ZF-LE gain and the minimum-phase and
+unit-energy forms. Each is a cached property of the frozen
+ChannelResponse, computed once per object on first access; the cached
+arrays are read-only.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import spence
 
 from .errors import BudgetExceeded, DomainError, RootFindingFailure
 
@@ -133,22 +132,6 @@ class ChannelResponse:
         """<log |H(theta)|^2>, exact via Jensen's formula on the channel roots."""
         mags = np.abs(self.roots)
         return float(2.0 * np.log(abs(self.lead)) + 2.0 * np.log(mags[mags > 1.0]).sum())
-
-    @cached_property
-    def log_sq_mean_spectrum(self) -> float:
-        """<log^2 |H(theta)|^2>, exact from the channel roots.
-
-        With the roots reflected into the closed unit disk (u_i), log|H|^2 is
-        A - sum_n 2 Re(sum_i u_i^n e^{-jn theta})/n with A = <log|H|^2>, so
-        its second moment is A^2 + 2 Re sum_{i,k} Li2(u_i conj(u_k)); roots on
-        the unit circle keep every dilogarithm finite.
-        """
-        u = self.roots.copy()
-        outside = np.abs(u) > 1.0
-        u[outside] = 1.0 / np.conj(u[outside])
-        w = (u[:, None] * np.conj(u)[None, :]).ravel()
-        a = self.log_mean_spectrum
-        return float(a * a + 2.0 * np.real(spence(1.0 - w).sum()))
 
     @cached_property
     def zf_le_gain(self) -> float:
@@ -270,15 +253,20 @@ def _min_phase_factor(r: np.ndarray) -> tuple[np.ndarray, float]:
     return g, float(np.abs(inside).max(initial=0.0))
 
 
-def _dfe_factor(channel: ChannelResponse, rho: float) -> tuple[float, np.ndarray, int]:
-    """(gaussian_rate, c, m) of the one factorisation behind every summary
-    at rho: log(rho gamma_0) = log1p(rho r_0) - log1p(sum_{i>=1} g_i^2),
-    free of cancellation, and (c, m) = _inverse of G."""
+def _spectral_factor(channel: ChannelResponse, rho: float) -> tuple[float, np.ndarray, float]:
+    """(gaussian_rate, g, r_max) of the one factorisation behind every
+    summary at rho: log(rho gamma_0) = log1p(rho r_0) - log1p(sum_{i>=1} g_i^2),
+    free of cancellation, with g and r_max as in _min_phase_factor."""
     r = channel.autocorrelation.copy()
     energy = float(r[0])
     r[0] += 1.0 / rho
     g, r_max = _min_phase_factor(r)
-    gaussian_rate = float(np.log1p(rho * energy) - np.log1p(g[1:] @ g[1:]))
+    return float(np.log1p(rho * energy) - np.log1p(g[1:] @ g[1:])), g, r_max
+
+
+def _dfe_factor(channel: ChannelResponse, rho: float) -> tuple[float, np.ndarray, int]:
+    """(gaussian_rate, c, m): _spectral_factor with (c, m) = _inverse of G."""
+    gaussian_rate, g, r_max = _spectral_factor(channel, rho)
     c, m = _inverse(g, r_max)
     return gaussian_rate, c, m
 

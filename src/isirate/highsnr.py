@@ -1,15 +1,13 @@
 """High-SNR machinery: error-event distance search and exponent bounds.
 
 delta_min_sq is the minimum weighted normalized distance over error
-events, found by uniform-cost search on the finite error-state graph
-(state = last L-1 normalized error symbols). Accumulated distance is an
-admissible bound since every step cost is nonnegative, so the first
-settled goal is globally optimal; the result is certified whenever the
-search completes within its expansion guard. log_fano_forney_upper and
-log_sl_gap_lower evaluate the logs of the two sides of the high-SNR
-comparison, an upper bound on H(x_0) - achievable rate and a lower bound
-on H(x_0) - I_SL; crossover_probe compares them on an SNR grid from one
-certified search (exponent_gap) per channel and input.
+events, found by Dijkstra's search on the finite error-state graph
+(state = last L-1 normalized error symbols), whose step costs are all
+nonnegative, so the first settled goal is globally optimal.
+log_fano_forney_upper and log_sl_gap_lower evaluate the logs of the two
+sides of the high-SNR comparison, an upper bound on H(x_0) - achievable
+rate and a lower bound on H(x_0) - I_SL; crossover_probe compares them on
+an SNR grid from one search (exponent_gap) per channel and input.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfcx
 
-from .channel import ChannelResponse, transfer_power
+from .channel import ChannelResponse, _spectral_factor
 from .errors import DomainError, InconclusiveSearch
 from .scalar import InputDistribution, binary_entropy, log_q_integral
 
@@ -39,7 +37,6 @@ class ErrorEventSearch:
 
     delta_min_sq: float
     witness: tuple[float, ...]  # normalized error symbols, nonzero endpoints
-    certified: bool
     nodes_explored: int
     error_alphabet: tuple[float, ...]
 
@@ -63,89 +60,59 @@ def error_alphabet(x: InputDistribution) -> np.ndarray:
     return vals
 
 
-def delta_min_sq(
-    channel: ChannelResponse,
-    x: InputDistribution,
-    max_len: int | None = None,
-) -> ErrorEventSearch:
+def delta_min_sq(channel: ChannelResponse, x: InputDistribution) -> ErrorEventSearch:
     """Minimum normalized weighted distance over all error events.
 
     The channel must carry unit energy. Ties between equal-distance events
-    resolve to the lexicographically smallest witness. ``max_len`` caps the
-    event length explored (default 8L + 50); the certified flag is cleared
-    only if that cap or the node guard discarded a cheaper frontier node.
+    resolve to the lexicographically smallest witness. Raises
+    InconclusiveSearch rather than expand more than _NODE_GUARD states.
     """
     if abs(channel.energy() - 1.0) > 1e-9:
         raise DomainError("delta_min_sq expects a unit-energy channel")
-    taps = np.asarray(channel.taps)
     L = channel.length
+    rev_taps = np.asarray(channel.taps)[::-1]
     alphabet = error_alphabet(x)
-    nonzero = alphabet[alphabet != 0.0]
-    if max_len is None:
-        max_len = 8 * L + 50
-    max_path = max_len + L - 1
-    if L == 1:
-        e = float(np.min(np.abs(nonzero)))
-        return ErrorEventSearch(
-            delta_min_sq=e * e * float(taps[0] ** 2),
-            witness=(-e if -e in nonzero else e,),
-            certified=True,
-            nodes_explored=1,
-            error_alphabet=tuple(alphabet),
-        )
     zero_state = (0.0,) * (L - 1)
     # heap entries (cost, path, state); path ordering breaks cost ties
     heap = []
-    rev_taps = taps[::-1]
-    for e in nonzero:
+    for e in alphabet[alphabet != 0.0]:
         window = np.zeros(L)
         window[-1] = e
-        cost = float((window @ rev_taps) ** 2)
-        heapq.heappush(heap, (cost, (float(e),), tuple(window[1:])))
+        heapq.heappush(heap, (float((window @ rev_taps) ** 2), (float(e),), tuple(window[1:])))
     closed: set[tuple[float, ...]] = set()
-    explored = 0
-    min_discarded = math.inf
-    while heap:
+    # the zero state is reachable from every state and never closed, so
+    # the heap holds a path to it until it is popped
+    while True:
         cost, path, state = heapq.heappop(heap)
         if state == zero_state:
-            witness = path[: len(path) - (L - 1)]
             return ErrorEventSearch(
                 delta_min_sq=cost,
-                witness=witness,
-                certified=cost <= min_discarded,
-                nodes_explored=explored,
+                witness=path[: len(path) - (L - 1)],
+                nodes_explored=len(closed),
                 error_alphabet=tuple(alphabet),
             )
         if state in closed:
             continue
+        if len(closed) == _NODE_GUARD:
+            raise InconclusiveSearch(f"error-event search passed {_NODE_GUARD} states")
         closed.add(state)
-        explored += 1
-        if len(path) >= max_path or explored > _NODE_GUARD:
-            min_discarded = min(min_discarded, cost)
-            continue
         window = np.empty(L)
         window[:-1] = state
         for e in alphabet:
             window[-1] = e
-            step = float((window @ rev_taps) ** 2)
             nxt = tuple(window[1:])
             if nxt not in closed:
+                step = float((window @ rev_taps) ** 2)
                 heapq.heappush(heap, (cost + step, path + (float(e),), nxt))
-    raise InconclusiveSearch("error-event search exhausted without a goal")
 
 
-def exponent_gap(
-    channel: ChannelResponse, x: InputDistribution, max_len: int | None = None
-) -> ExponentGap:
+def exponent_gap(channel: ChannelResponse, x: InputDistribution) -> ExponentGap:
     """Compare delta_min^2 with g_zf_dfe on the normalized min-phase channel.
 
-    Raises InconclusiveSearch unless the search is certified, so every gap
-    carries a certified delta_min^2. strict requires a margin above 1e-9.
+    strict requires a margin above 1e-9.
     """
     ch = channel.normalized.min_phase
-    search = delta_min_sq(ch, x, max_len=max_len)
-    if not search.certified:
-        raise InconclusiveSearch("search not certified; raise max_len")
+    search = delta_min_sq(ch, x)
     g = float(ch.taps[0] ** 2)
     return ExponentGap(
         delta_min_sq=search.delta_min_sq,
@@ -164,7 +131,7 @@ def log_fano_forney_upper(
     gap: ExponentGap, x: InputDistribution, rho: float, k_prime: float
 ) -> float:
     """log of an upper bound on H(x_0) - achievable rate (nats), given the
-    sequence-detector error constant K' and the certified gap of the channel.
+    sequence-detector error constant K' and the exponent gap of the channel.
 
     The bound is h2(P) + P log|X| with
     P = min(1/2, K' Q(sqrt(rho (d/2)^2 delta_min^2))); its log stays finite
@@ -197,70 +164,31 @@ def _min_distance_pair_prob(x: InputDistribution) -> float:
     return best
 
 
-def _low_spectrum_fraction(channel: ChannelResponse, t: float) -> float:
-    """|{theta : |H(theta)|^2 < t}| / 2 pi, exact up to root round-off.
-
-    On the unit circle z^{L-1} (|H(z)|^2 - t) is the polynomial with the
-    palindromic coefficients r_{L-1}..r_1, r_0 - t, r_1..r_{L-1}, so every
-    crossing of t is the angle of one of its 2(L-1) roots. Between two
-    consecutive root angles |H|^2 - t keeps its sign, read at the midpoint.
-    """
-    r = channel.autocorrelation
-    coeffs = np.concatenate((r[:0:-1], r))
-    coeffs[r.size - 1] -= t
-    angles = np.sort(np.angle(np.roots(coeffs)))
-    gaps = np.diff(angles, append=angles[0] + 2.0 * np.pi)
-    below = transfer_power(channel, angles + 0.5 * gaps) < t
-    return float(gaps[below].sum() / (2.0 * np.pi))
-
-
-def snr_dfe_upper_bound(channel: ChannelResponse, rho: float) -> float:
-    """Upper bound on the biased MMSE-DFE output SNR at high input SNR.
-
-    For strictly positive spectra: rho g_zf_dfe + g_zf_dfe/g_zf_le. With
-    spectral nulls: rho g_zf_dfe (1 + sqrt(1/rho)) e^{c1 sqrt(|Omega|/2pi)}
-    with c1^2 = <log^2|H|^2> and Omega the set where |H|^2 < sqrt(1/rho),
-    measured exactly from the crossing angles (_low_spectrum_fraction).
-    Requires the unit-energy normalization and 2 sqrt(1/rho) < 1.
-    """
-    if abs(channel.energy() - 1.0) > 1e-9:
-        raise DomainError("snr_dfe_upper_bound expects a unit-energy channel")
-    if 2.0 * math.sqrt(1.0 / rho) >= 1.0:
-        raise DomainError("need 2 sqrt(N_0/P_x) < 1, i.e. rho > 4")
-    # both gains are free of rho and cached on the channel
-    g = math.exp(channel.log_mean_spectrum)
-    g_le = channel.zf_le_gain
-    if g_le > 0.0:
-        return rho * g + g / g_le
-    # null-bearing spectrum: Cauchy-Schwarz on the low-|H| set
-    c1 = math.sqrt(channel.log_sq_mean_spectrum)
-    threshold = math.sqrt(1.0 / rho)
-    omega_frac = _low_spectrum_fraction(channel, threshold)
-    return rho * g * (1.0 + threshold) * math.exp(c1 * math.sqrt(omega_frac))
-
-
 def log_sl_gap_lower(
     channel: ChannelResponse, x: InputDistribution, rho: float
 ) -> float:
-    """log of a lower bound on H(x_0) - I_SL, in nats, valid for rho > 4.
+    """log of a lower bound on H(x_0) - I_SL, in nats.
 
     Chains the MMSE genie bound through the equiprobable-pair reduction
-    and the Gaussian-tail integral, evaluated at an upper bound on the
-    unbiased DFE SNR; the log stays finite far past double-precision
-    underflow.
+    and the Gaussian-tail integral, evaluated at the unbiased MMSE-DFE SNR
+    of the normalized channel, the one I_SL is taken at; the log stays
+    finite far past double-precision underflow. Raises RootFindingFailure
+    where the spectral factorisation fails its check.
     """
-    snr_u = snr_dfe_upper_bound(channel.normalized, rho) - 1.0
+    if not 0.0 < rho < math.inf:
+        raise DomainError("rho must be finite and positive")
+    gaussian_rate, _, _ = _spectral_factor(channel.normalized, rho)
     d_half_sq = (_normalized_d_min(x) / 2.0) ** 2
     return math.log(2.0 * _min_distance_pair_prob(x)) + log_q_integral(
-        d_half_sq * snr_u
+        d_half_sq * math.expm1(gaussian_rate)
     )
 
 
 @dataclass(frozen=True)
 class CrossoverRow:
     rho: float
-    log_upper: float | None  # log_fano_forney_upper on H - rate
-    log_lower: float | None  # log_sl_gap_lower on H - I_SL
+    log_upper: float  # log_fano_forney_upper on H - rate
+    log_lower: float  # log_sl_gap_lower on H - I_SL
     certifies: bool
 
 
@@ -279,11 +207,9 @@ def crossover_probe(
     """Evaluate both exponent bounds on a grid of input SNRs.
 
     A row certifies the rate >= I_SL comparison when the upper bound on
-    H - rate falls below the lower bound on H - I_SL. Grid points with
-    0 < rho <= 4 are reported as None (outside the bound's validity).
-    Raises, before any row, DomainError unless every rho is finite and
-    positive, and InconclusiveSearch when the distance search is not
-    certified.
+    H - rate falls below the lower bound on H - I_SL. Raises, before any
+    row, DomainError unless every rho is finite and positive, and
+    InconclusiveSearch when the distance search passes its node guard.
     """
     rho_grid = [float(rho) for rho in rho_grid]
     if not all(0.0 < rho < math.inf for rho in rho_grid):
@@ -292,9 +218,6 @@ def crossover_probe(
     rows = []
     crossing = None
     for rho in rho_grid:
-        if 2.0 * math.sqrt(1.0 / rho) >= 1.0:
-            rows.append(CrossoverRow(rho=rho, log_upper=None, log_lower=None, certifies=False))
-            continue
         log_upper = log_fano_forney_upper(gap, x, rho, k_prime)
         log_lower = log_sl_gap_lower(channel, x, rho)
         certifies = log_upper < log_lower

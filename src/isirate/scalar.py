@@ -37,6 +37,8 @@ class InputDistribution:
         probs = tuple(float(p) for p in self.probs)
         if len(atoms) != len(probs):
             raise DomainError("atoms and probs must have equal length")
+        if not all(map(math.isfinite, atoms + probs)):
+            raise DomainError("atoms and probabilities must be finite")
         if len(atoms) < 2:
             raise DomainError("degenerate single-atom distributions are rejected")
         if any(p <= 0.0 for p in probs):

@@ -267,7 +267,7 @@ def test_criterion_08_genie_property_suite():
 
 
 def test_criterion_09_high_snr_exponents():
-    """Strict certified exponent gaps and exact search vs enumeration."""
+    """Strict exponent gaps and exact search vs enumeration."""
     x = bpsk()
     for ch, name in (
         (channel_b(), "channel_b"),
@@ -282,16 +282,17 @@ def test_criterion_09_high_snr_exponents():
     rng = np.random.default_rng(909)
     for _ in range(20):
         ch = random_unit_channel(rng, max_len=4).min_phase
-        res = delta_min_sq(ch, x, max_len=6)
+        res = delta_min_sq(ch, x)
         alphabet = error_alphabet(x)
         brute = math.inf
-        for length in range(1, 7):
+        # every event up to the witness's length, so a cheaper one would show
+        for length in range(1, max(6, len(res.witness)) + 1):
             for combo in itertools.product(alphabet, repeat=length):
                 if combo[0] == 0.0 or combo[-1] == 0.0:
                     continue
                 brute = min(brute, event_distance_sq(ch, combo))
         assert res.delta_min_sq == pytest.approx(brute, abs=1e-12)
-    print("ACCEPTANCE 9 PASS: strict certified gaps; search equals length<=6 enumeration on 20 channels")
+    print("ACCEPTANCE 9 PASS: strict gaps; search equals enumeration to the witness length on 20 channels")
 
 
 def test_criterion_10_scalar_engine():

@@ -224,7 +224,7 @@ class TestChannelContext:
                 ch.roots.tobytes(),
                 ch.normalized.min_phase.taps,
                 ch.zf_le_gain,
-                ch.log_sq_mean_spectrum,
+                ch.log_mean_spectrum,
                 spectral_summary(ch, 100.0),
             )
 

@@ -235,13 +235,42 @@ class TestSubcommands:
         assert abs(out["value_bits"] - ref_bits) <= 3 * out["stderr_bits"]
         assert len(per_seed.read_text().strip().splitlines()) == 4
 
+    def test_simulate_one_seed_writes_null_stderr(self, capsys):
+        # one seed has no across-seed error; NaN would not be valid JSON
+        args = ["simulate", "--channel", "channel_b", "--input", "bpsk", "--snr-db", "0"]
+        assert main(args + ["--n-symbols", "10000", "--n-seeds", "1"]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        out = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert out["stderr_bits"] is None
+        assert 0.0 < out["value_bits"] <= 1.0
+
+    @pytest.mark.parametrize("command", ["dfe", "simulate"])
+    @pytest.mark.parametrize(
+        "spec",
+        ['{"atoms": [NaN, 1.0], "probs": [0.5, 0.5]}', '{"atoms": [-1.0, 1.0], "probs": [NaN, 0.5]}'],
+        ids=["nan_atom", "nan_prob"],
+    )
+    def test_non_finite_input_exits_2(self, command, spec, capsys):
+        args = [command, "--channel", "channel_b", "--input", spec, "--snr-db", "0"]
+        assert main(args + (["--n-symbols", "10000"] if command == "simulate" else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite" in captured.err
+
     def test_dmin(self, capsys):
         code = main(["dmin", "--channel", "channel_b", "--input", "bpsk"])
         assert code == 0
         out = json.loads(capsys.readouterr().out)
-        assert out["certified"] is True
+        assert set(out) == {"delta_min_sq", "witness", "nodes_explored", "g_zf_dfe", "strict", "min_phase_taps"}
         assert out["strict"] is True
         assert out["delta_min_sq"] > out["g_zf_dfe"]
+        # the search runs to its goal on a finite graph: no length cap
+        with pytest.raises(SystemExit) as exc:
+            main(["dmin", "--channel", "channel_b", "--input", "bpsk", "--max-len", "5"])
+        assert exc.value.code == 2
 
     def test_dmin_runs_one_search(self, capsys, monkeypatch):
         # a non-minimum-phase channel: the one search runs on its
@@ -298,6 +327,21 @@ class TestSubcommands:
         assert code == 0
         out = json.loads(capsys.readouterr().out)
         assert len(out["rows"]) == 3
+
+    def test_highsnr_probe_low_snr_rows_carry_values(self, capsys):
+        args = ["highsnr-probe", "--channel", "channel_b", "--input", "bpsk", "--snr-db", "0:30:2"]
+        assert main(args) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert len(rows) == 16
+        assert all(math.isfinite(r["log_upper"]) and math.isfinite(r["log_lower"]) for r in rows)
+
+    def test_highsnr_probe_past_the_factorisation_exits_3(self, capsys):
+        # jeong's spectral factor misses its check from about 125 dB
+        args = ["highsnr-probe", "--channel", "jeong", "--input", "bpsk", "--snr-db", "130"]
+        assert main(args) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "spectral factor" in captured.err
 
     def test_figure_unknown_name(self, capsys):
         assert main(["figure", "nope", "--out-dir", "/tmp/isirate-nope"]) == 2
@@ -379,10 +423,13 @@ class TestSubcommands:
         assert [",".join(line.split(",")[:n]) for line in figure] == bounds
 
     def test_figure_seed_refused_where_nothing_is_simulated(self, tmp_path, capsys):
-        # fig3 simulates nothing, so a seed would be ignored: exit 2, no file
+        # fig1a, fig1b, fig3 and fig4 simulate nothing, so a seed or the
+        # paper-scale profile would be ignored: exit 2, no file
         out_dir = tmp_path / "out"
-        assert main(["figure", "fig3", "--out-dir", str(out_dir), "--seed", "5"]) == 2
-        assert "--seed" in capsys.readouterr().err
+        for name in ("fig1a", "fig1b", "fig3", "fig4"):
+            for option in (["--seed", "5"], ["--full"]):
+                assert main(["figure", name, "--out-dir", str(out_dir)] + option) == 2
+                assert option[0] in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_figures_3_and_4_resolve_the_sign_of_the_gap(self, tmp_path, capsys):

@@ -8,29 +8,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isirate.channel import (
-    ChannelResponse,
-    channel_b,
-    jeong,
-    jeong_spaced,
-    spectral_summary,
-    transfer_power,
-)
+from isirate.bounds import bound_report
+from isirate.channel import ChannelResponse, channel_b, jeong, jeong_spaced, spectral_summary
 from isirate import highsnr
-from isirate.errors import DomainError, InconclusiveSearch
+from isirate.errors import DomainError, InconclusiveSearch, RootFindingFailure
 from isirate.highsnr import (
-    _low_spectrum_fraction,
     crossover_probe,
     delta_min_sq,
     error_alphabet,
     exponent_gap,
     log_fano_forney_upper,
     log_sl_gap_lower,
-    snr_dfe_upper_bound,
 )
 from isirate.scalar import bpsk, log_q_integral, make_skewed_binary, make_trinary, mutual_info
 
-from conftest import event_distance_sq, mean_over_theta, random_unit_channel
+from conftest import event_distance_sq, random_unit_channel
+
+NULL_CHANNEL = ChannelResponse((math.sqrt(0.5), math.sqrt(0.5)))
+INPUTS = (bpsk(), make_trinary(0.01), make_trinary(0.2), make_skewed_binary(0.002))
+
+# conv([1, 1], taps) puts a null at theta = pi; taps are multiples of 1e-3
+null_channels = (
+    st.lists(st.floats(-1.0, 1.0).map(lambda v: round(v, 3)), min_size=1, max_size=3)
+    .filter(lambda t: sum(v * v for v in t) > 1e-2)
+    .map(lambda t: ChannelResponse(tuple(np.convolve([1.0, 1.0], t))).normalized)
+)
 
 
 def two_tap_channel(q):
@@ -50,9 +52,11 @@ def brute_force_delta_min(channel, x, max_len=6):
 
 class TestDeltaMinSearch:
     def test_single_tap(self):
+        # the first push is already the zero state: no state is expanded
         res = delta_min_sq(ChannelResponse((1.0,)), bpsk())
         assert res.delta_min_sq == 1.0
-        assert res.certified
+        assert res.witness == (-1.0,)
+        assert res.nodes_explored == 0
 
     def test_requires_unit_energy(self):
         with pytest.raises(DomainError):
@@ -61,7 +65,6 @@ class TestDeltaMinSearch:
     def test_channel_b_matches_brute_force(self):
         ch = channel_b().normalized.min_phase
         res = delta_min_sq(ch, bpsk())
-        assert res.certified
         assert res.delta_min_sq == pytest.approx(
             brute_force_delta_min(ch, bpsk()), abs=1e-12
         )
@@ -70,13 +73,18 @@ class TestDeltaMinSearch:
         for _ in range(20):
             ch = random_unit_channel(rng, max_len=4).min_phase
             res = delta_min_sq(ch, bpsk())
-            brute = brute_force_delta_min(ch, bpsk())
-            assert res.certified
-            assert res.delta_min_sq <= brute + 1e-12
-            # brute force is exhaustive only to length 6; the search may
-            # legitimately find a longer, cheaper event
-            if len(res.witness) <= 6:
-                assert res.delta_min_sq == pytest.approx(brute, abs=1e-12)
+            # enumeration covers the witness, so no cheaper event is missed
+            brute = brute_force_delta_min(ch, bpsk(), max(6, len(res.witness)))
+            assert res.delta_min_sq == pytest.approx(brute, abs=1e-12)
+
+    def test_node_guard(self, monkeypatch):
+        # channel_b with bpsk settles its goal after expanding 6 states
+        ch = channel_b().normalized.min_phase
+        monkeypatch.setattr(highsnr, "_NODE_GUARD", 6)
+        assert delta_min_sq(ch, bpsk()).nodes_explored == 6
+        monkeypatch.setattr(highsnr, "_NODE_GUARD", 5)
+        with pytest.raises(InconclusiveSearch):
+            delta_min_sq(ch, bpsk())
 
     def test_witness_reproduces_distance(self, rng):
         for _ in range(10):
@@ -157,16 +165,46 @@ class TestSlGapLower:
         )
 
     def test_spectral_null_branch(self):
-        ch = ChannelResponse((math.sqrt(0.5), math.sqrt(0.5)))
-        val = math.exp(log_sl_gap_lower(ch, bpsk(), 100.0))
+        # a null leaves the exact SNR, and with it the bound, finite
+        val = math.exp(log_sl_gap_lower(NULL_CHANNEL, bpsk(), 100.0))
+        snr = math.expm1(spectral_summary(NULL_CHANNEL, 100.0).gaussian_rate)
         assert 0.0 < val < 1.0
-        # null branch engaged: upper bound exceeds the positive-branch form
-        up = snr_dfe_upper_bound(ch, 100.0)
-        assert up > 100.0 * 0.5
+        assert val == pytest.approx(_q_int_at(snr), rel=1e-12)
 
     def test_snr_too_low(self):
-        with pytest.raises(DomainError):
-            log_sl_gap_lower(channel_b(), bpsk(), 3.0)
+        # every positive rho has a bound; non-positive or non-finite has none
+        for rho in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                log_sl_gap_lower(channel_b(), bpsk(), rho)
+
+    @pytest.mark.parametrize("ch", [channel_b(), NULL_CHANNEL, ChannelResponse((0.3, -1.0, 0.5))])
+    @pytest.mark.parametrize("rho", [0.7, 10.0, 3000.0])
+    def test_snr_is_i_sl_bit_for_bit(self, ch, rho, monkeypatch):
+        # bpsk has (d/2)^2 = 1, so the tail integral runs from I_SL's SNR
+        seen = []
+        monkeypatch.setattr(highsnr, "log_q_integral", lambda s: seen.append(s) or log_q_integral(s))
+        log_sl_gap_lower(ch, bpsk(), rho)
+        rep = bound_report(ch.normalized, bpsk(), rho, "none")
+        assert seen == [math.expm1(rep.gaussian_rate)]
+        assert mutual_info(bpsk(), seen[0]) == rep.i_sl
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        ch=st.one_of(
+            st.lists(st.floats(-1.0, 1.0).map(lambda v: round(v, 3)), min_size=1, max_size=4)
+            .filter(lambda t: sum(v * v for v in t) > 1e-2)
+            .map(lambda t: ChannelResponse(tuple(t))),
+            null_channels,
+        ),
+        x=st.sampled_from(INPUTS),
+        rho=st.floats(0.5, 1e4),
+    )
+    def test_below_the_sl_gap(self, ch, x, rho):
+        # H(x) - I_SL at the I_SL of bound_report; below 1e-10 the
+        # quadrature of I_x, not the bound, sets the comparison
+        gap = x.entropy - bound_report(ch.normalized, x, rho, "none").i_sl
+        if gap > 1e-10:
+            assert log_sl_gap_lower(ch, x, rho) <= math.log(gap)
 
     def test_slope_matches_exponent(self):
         gap = exponent_gap(two_tap_channel(0.5), bpsk())
@@ -174,65 +212,6 @@ class TestSlGapLower:
         logs = [log_sl_gap_lower(two_tap_channel(0.5), bpsk(), r) for r in rhos]
         slope = np.polyfit(rhos, logs, 1)[0]
         assert slope == pytest.approx(-gap.g_zf_dfe / 2.0, rel=0.1)
-
-
-class TestLogSqMeanSpectrum:
-    def test_null_channel(self):
-        # <log^2(1 + cos theta)> = pi^2/3 + log^2 2
-        ch = ChannelResponse((math.sqrt(0.5), math.sqrt(0.5)))
-        want = math.pi**2 / 3.0 + math.log(2.0) ** 2
-        assert ch.log_sq_mean_spectrum == pytest.approx(want, abs=1e-12)
-
-    @pytest.mark.parametrize("ch", [channel_b(), jeong_spaced()], ids=["channel_b", "jeong_spaced"])
-    def test_matches_quadrature(self, ch):
-        # no root on the unit circle, so the midpoint rule converges
-        quad = mean_over_theta(lambda th: np.log(transfer_power(ch, th)) ** 2, rel_tol=1e-13)
-        assert ch.log_sq_mean_spectrum == pytest.approx(quad, rel=1e-9)
-
-    def test_flat(self):
-        assert ChannelResponse((2.0,)).log_sq_mean_spectrum == pytest.approx(math.log(4.0) ** 2, rel=1e-15)
-
-
-# conv([1, 1], taps) puts a null at theta = pi; taps are multiples of 1e-3
-null_channels = (
-    st.lists(st.floats(-1.0, 1.0).map(lambda v: round(v, 3)), min_size=1, max_size=3)
-    .filter(lambda t: sum(v * v for v in t) > 1e-2)
-    .map(lambda t: ChannelResponse(tuple(np.convolve([1.0, 1.0], t))).normalized)
-)
-null_snr_db = st.floats(7.0, 60.0)
-
-
-class TestLowSpectrumFraction:
-    GRID = 2**22
-
-    @settings(max_examples=10, deadline=None, derandomize=True)
-    @given(ch=null_channels, snr_db=null_snr_db)
-    def test_matches_midpoint_grid(self, ch, snr_db):
-        t = 10 ** (-snr_db / 20)
-        n = self.GRID
-        # |H|^2 at theta_k = -pi + (k + 1/2) 2 pi/n, by one FFT
-        m = np.arange(ch.length)
-        power = np.abs(np.fft.fft(np.asarray(ch.taps) * np.exp(1j * np.pi * (1 - 1 / n) * m), n)) ** 2
-        grid = np.count_nonzero(power < t) / n
-        # each crossing of t misplaces at most one grid cell; every crossing
-        # is a root of z^{L-1}(|H(z)|^2 - t) on the unit circle
-        r = np.correlate(ch.taps, ch.taps, mode="full")
-        r[ch.length - 1] -= t
-        crossings = np.count_nonzero(np.abs(np.abs(np.roots(r)) - 1.0) < 1e-6)
-        assert abs(_low_spectrum_fraction(ch, t) - grid) <= crossings / n
-
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(ch=null_channels, snr_db=null_snr_db)
-    def test_snr_bound_holds(self, ch, snr_db):
-        rho = 10 ** (snr_db / 10)
-        assert snr_dfe_upper_bound(ch, rho) >= spectral_summary(ch, rho).snr_dfe
-
-    def test_two_tap_null_closed_form(self):
-        # |H|^2 = 1 + cos(theta) < t on |theta| > arccos(t - 1)
-        ch = ChannelResponse((math.sqrt(0.5), math.sqrt(0.5)))
-        for t in (0.01, 0.3, 1.0):
-            want = 1.0 - math.acos(t - 1.0) / math.pi
-            assert _low_spectrum_fraction(ch, t) == pytest.approx(want, rel=1e-12)
 
 
 def _q_int_at(s):
@@ -256,10 +235,37 @@ class TestCrossoverProbe:
         assert t5.crossing_rho is not None and t9.crossing_rho is not None
         assert t9.crossing_rho > t5.crossing_rho
 
-    def test_low_rho_rows_marked_invalid(self):
-        table = crossover_probe(channel_b(), bpsk(), [2.0, 10.0])
-        assert table.rows[0].log_upper is None
-        assert table.rows[1].log_upper is not None
+    def test_low_rho_rows_carry_both_logs(self):
+        table = crossover_probe(channel_b(), bpsk(), [0.01, 2.0, 10.0])
+        for row in table.rows:
+            assert math.isfinite(row.log_upper) and math.isfinite(row.log_lower)
+
+    # first certified row on a 0.5-dB grid from 7 to 90 dB, bpsk, K' = 1
+    @pytest.mark.parametrize(
+        "ch, first_db",
+        [(channel_b(), 11.5), (jeong(), 17.0), (jeong_spaced(), 8.0), (NULL_CHANNEL, 9.5)],
+        ids=["channel_b", "jeong", "jeong_spaced", "null"],
+    )
+    def test_first_certified_row(self, ch, first_db):
+        grid_db = 7.0 + 0.5 * np.arange(167)
+        table = crossover_probe(ch, bpsk(), 10.0 ** (grid_db / 10.0))
+        certifies = [row.certifies for row in table.rows]
+        first = certifies.index(True)
+        assert grid_db[first] == first_db
+        assert all(certifies[first:])
+        assert table.crossing_rho == table.rows[first].rho
+
+    @pytest.mark.parametrize(
+        "ch", [channel_b(), jeong(), jeong_spaced(), NULL_CHANNEL], ids=["channel_b", "jeong", "jeong_spaced", "null"]
+    )
+    def test_reaches_120_db(self, ch):
+        table = crossover_probe(ch, bpsk(), [1e11, 1e12])
+        assert all(row.certifies for row in table.rows)
+
+    def test_past_the_factorisation_raises(self):
+        # jeong's spectral factor misses its 1e-10 check from about 125 dB
+        with pytest.raises(RootFindingFailure):
+            crossover_probe(jeong(), bpsk(), [1e13])
 
     def test_one_search_per_probe(self, monkeypatch):
         # one search, on the channel's cached unit-energy minimum-phase form
@@ -275,17 +281,16 @@ class TestCrossoverProbe:
 
     @pytest.mark.parametrize("n_snrs", [1, 4, 40])
     def test_channel_roots_found_once(self, n_snrs, monkeypatch):
-        # the SNR-free quantities come from one np.roots of the channel; the
-        # null-bearing channel adds one crossing polynomial per SNR above 4
+        # the SNR-free quantities come from one np.roots of the channel, and
+        # each SNR adds the one spectral factorisation behind I_SL
         calls = []
         real = np.roots
         monkeypatch.setattr(np, "roots", lambda p: calls.append(p) or real(p))
         grid = np.geomspace(2.0, 1e5, n_snrs)
-        crossover_probe(channel_b(), bpsk(), grid)
-        assert len(calls) == 1
-        calls.clear()
-        crossover_probe(two_tap_channel(math.sqrt(0.5)), bpsk(), grid)
-        assert len(calls) == 1 + np.count_nonzero(grid > 4.0)
+        for ch in (channel_b(), two_tap_channel(math.sqrt(0.5))):
+            calls.clear()
+            crossover_probe(ch, bpsk(), grid)
+            assert len(calls) == 1 + n_snrs
 
     @pytest.mark.parametrize("rho", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_non_finite_or_nonpositive_rho(self, rho):
@@ -293,7 +298,7 @@ class TestCrossoverProbe:
             crossover_probe(channel_b(), bpsk(), [10.0, rho])
 
     def test_uncertified_search_raises_before_rows(self, monkeypatch):
-        # a node guard this small leaves channel_b's search uncertified
+        # channel_b's search needs 6 states, more than this guard allows
         monkeypatch.setattr(highsnr, "_NODE_GUARD", 5)
         with pytest.raises(InconclusiveSearch):
             crossover_probe(channel_b(), bpsk(), [2.0])
@@ -304,7 +309,7 @@ class TestCrossoverProbe:
             lambda t: abs(t[0]) >= 1e-2 and abs(t[-1]) >= 1e-2
         ),
         x=st.sampled_from([bpsk(), make_trinary(0.01), make_skewed_binary(0.002)]),
-        grid=st.lists(st.one_of(st.floats(0.5, 3.9), st.floats(4.1, 1e5)), min_size=1, max_size=6),
+        grid=st.lists(st.floats(0.5, 1e5), min_size=1, max_size=6),
         k_prime=st.floats(0.1, 10.0),
     )
     def test_rows_are_the_two_log_bounds(self, taps, x, grid, k_prime):
@@ -312,8 +317,5 @@ class TestCrossoverProbe:
         table = crossover_probe(ch, x, grid, k_prime=k_prime)
         gap = exponent_gap(ch, x)
         for rho, row in zip(grid, table.rows, strict=True):
-            if rho > 4.0:
-                want = (log_fano_forney_upper(gap, x, rho, k_prime), log_sl_gap_lower(ch, x, rho))
-                assert (row.log_upper, row.log_lower) == want
-            else:
-                assert row.log_upper is None and row.log_lower is None
+            want = (log_fano_forney_upper(gap, x, rho, k_prime), log_sl_gap_lower(ch, x, rho))
+            assert (row.log_upper, row.log_lower) == want

@@ -90,6 +90,10 @@ class TestInputDistribution:
             InputDistribution((1.0, 2.0), (0.5, 0.5))  # nonzero mean
         with pytest.raises(DomainError):
             InputDistribution((1.0, 1.0), (0.5, 0.5))  # duplicate atoms
+        # NaN fails no comparison, so each check above would let it through
+        for atoms, probs in (((math.nan, 1.0), (0.5, 0.5)), ((-1.0, 1.0), (math.nan, 0.5)), ((-1.0, math.inf), (0.5, 0.5))):
+            with pytest.raises(DomainError, match="finite"):
+                InputDistribution(atoms, probs)
         with pytest.raises(DomainError):
             make_skewed_binary(0.0)
         with pytest.raises(DomainError):
